@@ -83,7 +83,9 @@ void adc_resolution_sweep() {
     CrossbarConfig cfg;
     cfg.adc_bits = bits;
     CrossbarArray xbar(cfg, 9, w);
-    const auto got = xbar.mvm(x, 8);
+    std::vector<std::int64_t> got;
+    std::int64_t clips = 0;
+    xbar.mvm(x, std::vector<bool>(x.size(), true), 8, got, &clips);
     double max_err = 0.0, ref_mag = 1.0;
     for (std::size_t c = 0; c < got.size(); ++c) {
       max_err = std::max(max_err,
@@ -91,7 +93,7 @@ void adc_resolution_sweep() {
       ref_mag = std::max(ref_mag, std::abs(static_cast<double>(exact[c])));
     }
     table.add_row({std::to_string(bits),
-                   std::to_string(xbar.last_clip_count()), fmt(max_err, 0),
+                   std::to_string(clips), fmt(max_err, 0),
                    fmt(100.0 * max_err / ref_mag, 2)});
   }
   std::printf("%s\n", table.to_string().c_str());

@@ -30,10 +30,10 @@
 //                          behind disk + crossbar programming
 //                          (head-of-line blocking); with lock-dropped
 //                          loads this row should track registry_single
-//   artifact_load_mmap /   one load_deployed() of the same artifact
-//   artifact_load_read     through the mmap (lazy checksum) and read()
-//                          (eager checksum) paths -- the materialization
-//                          I/O cost the registry pays per cold start
+//   artifact_load          one load_deployed() of an artifact (one sized
+//                          read, every section checksum verified) -- the
+//                          materialization I/O cost the registry pays per
+//                          cold start
 //
 // The PR 4 acceptance gate: fleet3 throughput >= 0.8x registry_single on
 // the same thread budget -- i.e. hosting three models behind one front door
@@ -42,6 +42,8 @@
 // the machine with private pools.
 //
 // Usage: bench_registry [output.json] [--commit=HASH]
+// The output defaults to the untracked BENCH_registry_local.json, so a bare
+// run never overwrites a committed baseline.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -58,7 +60,6 @@
 #include "common/parallel.hpp"
 #include "pipeline/pipeline.hpp"
 #include "registry/registry.hpp"
-#include "serve/artifact.hpp"
 #include "serve/service.hpp"
 #include "telemetry/telemetry.hpp"
 #include "train/trainer.hpp"
@@ -302,27 +303,13 @@ std::vector<Record> run_suite() {
     churner.join();
   }
 
-  // Materialization I/O: one load_deployed() of the same artifact through
-  // the mmap (lazy checksum) and read() (eager checksum) paths.
-  {
-    set_num_threads(1);
-    const artifact::IoMode saved = artifact::io_mode();
-    for (const artifact::IoMode mode :
-         {artifact::IoMode::kMmap, artifact::IoMode::kRead}) {
-      artifact::set_io_mode(mode);
-      records.push_back(record(mode == artifact::IoMode::kMmap
-                                   ? "artifact_load_mmap"
-                                   : "artifact_load_read",
-                               1,
-                               measure_ms(
-                                   [&] {
-                                     (void)Pipeline::load_deployed(paths[0]);
-                                   },
-                                   100.0),
-                               1.0));
-    }
-    artifact::set_io_mode(saved);
-  }
+  // Materialization I/O: one load_deployed() of the artifact (one sized
+  // read, every section checksum verified).
+  set_num_threads(1);
+  records.push_back(record(
+      "artifact_load", 1,
+      measure_ms([&] { (void)Pipeline::load_deployed(paths[0]); }, 100.0),
+      1.0));
 
   set_num_threads(1);
   for (const std::string& path : paths) std::remove(path.c_str());
@@ -333,7 +320,7 @@ std::vector<Record> run_suite() {
 }  // namespace epim
 
 int main(int argc, char** argv) {
-  std::string out = "BENCH_pr8.json";
+  std::string out = "BENCH_registry_local.json";
   std::string commit = "unknown";
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--commit=", 9) == 0) {

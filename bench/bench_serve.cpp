@@ -66,6 +66,8 @@
 //
 // Usage: bench_serve [output.json] [--commit=HASH] [--enforce-worker-gate]
 //                    [--enforce-telemetry-gate] [--enforce-sched-gate]
+// The output defaults to the untracked BENCH_serve_local.json, so a bare
+// run never overwrites a committed baseline.
 // --enforce-worker-gate exits non-zero when the host has >= 4 cpus and the
 // saturated workers=4/workers=1 ratio at 4 pool threads falls below 1.3x
 // (on hosts with fewer cpus the gate is reported but cannot bind).
@@ -484,7 +486,7 @@ std::vector<Record> run_suite() {
 }  // namespace epim
 
 int main(int argc, char** argv) {
-  std::string out = "BENCH_pr10.json";
+  std::string out = "BENCH_serve_local.json";
   std::string commit = "unknown";
   bool enforce_worker_gate = false;
   bool enforce_telemetry_gate = false;

@@ -27,7 +27,8 @@
 // Current fault points (grep for fault::maybe_fail / fault::should_fire):
 //
 //   artifact.open          before any artifact file is opened (load + probe)
-//   artifact.read          after an artifact file's bytes are slurped
+//   artifact.read          after the one sized read of an artifact file,
+//                          before its sections are parsed or verified
 //   artifact.checksum      forces a section-checksum mismatch (simulated
 //                          bit corruption through the REAL rejection path)
 //   artifact.write         mid-save, between sections (simulated crash; the

@@ -257,6 +257,12 @@ bool LockOrderRegistry::has_edge(const std::string& before,
          it->second.find(after) != it->second.end();
 }
 
+std::size_t LockOrderRegistry::out_degree(const std::string& before) const {
+  SpinGuard guard(impl_->spin);
+  const auto it = impl_->graph.find(before);
+  return it == impl_->graph.end() ? 0 : it->second.size();
+}
+
 std::size_t LockOrderRegistry::edge_count() const {
   SpinGuard guard(impl_->spin);
   std::size_t count = 0;

@@ -79,6 +79,8 @@ class LockOrderRegistry {
 
   /// Whether the edge `before` -> `after` has been observed.
   bool has_edge(const std::string& before, const std::string& after) const;
+  /// Distinct locks observed acquired while `before` was held.
+  std::size_t out_degree(const std::string& before) const;
   /// Total directed edges recorded.
   std::size_t edge_count() const;
   /// Locks the CALLING thread currently holds (its own stack).

@@ -1,26 +1,11 @@
 // Small arithmetic helpers shared across the library.
 #pragma once
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <vector>
 
 #include "common/check.hpp"
 
 namespace epim {
-
-/// Nearest-rank percentile of an already-sorted sample (0 for an empty
-/// one). The serving layer's per-service and fleet-pooled latency digests
-/// both use this, so their numbers stay comparable by construction.
-inline double nearest_rank_percentile(const std::vector<double>& sorted,
-                                      double q) {
-  if (sorted.empty()) return 0.0;
-  const auto rank = static_cast<std::size_t>(
-      std::ceil(q * static_cast<double>(sorted.size())));
-  return sorted[std::min(sorted.size() - 1,
-                         std::max<std::size_t>(rank, 1) - 1)];
-}
 
 /// Ceiling division for non-negative integers; b must be positive.
 constexpr std::int64_t ceil_div(std::int64_t a, std::int64_t b) {

@@ -51,13 +51,6 @@ PimLayerEngine::PimLayerEngine(ConvLayerInfo layer, EpitomeSpec spec,
   }
 }
 
-IntOutput PimLayerEngine::run(const IntImage& input, int act_bits) const {
-  std::int64_t clips = 0;
-  IntOutput out = run(input, act_bits, &clips);
-  clip_count_ = clips;
-  return out;
-}
-
 IntOutput PimLayerEngine::run(const IntImage& input, int act_bits,
                               std::int64_t* clip_count) const {
   const ConvSpec& conv = layer_.conv;

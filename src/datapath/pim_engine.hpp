@@ -56,17 +56,10 @@ class PimLayerEngine {
   /// Run the layer; activations must each fit in act_bits (unsigned).
   /// Output positions are processed in parallel (deterministically: every
   /// position writes disjoint output cells).
-  IntOutput run(const IntImage& input, int act_bits) const;
-
-  /// Thread-safe variant: identical output, ADC clip events accumulated into
-  /// *clip_count instead of the mutable last_clip_count() diagnostic, so
-  /// concurrent callers sharing one programmed engine never race.
+  /// ADC clip events (0 means bit-exact) are accumulated into *clip_count
+  /// when it is non-null.
   IntOutput run(const IntImage& input, int act_bits,
-                std::int64_t* clip_count) const;
-
-  /// ADC clip events observed during the last run (0 means bit-exact).
-  /// Undefined under concurrent run() -- use the clip-out overload there.
-  std::int64_t last_clip_count() const { return clip_count_; }
+                std::int64_t* clip_count = nullptr) const;
 
  private:
   struct Tile {
@@ -80,7 +73,6 @@ class PimLayerEngine {
   IndexTables tables_;
   CrossbarConfig config_;
   std::vector<Tile> tiles_;
-  mutable std::int64_t clip_count_ = 0;
 };
 
 }  // namespace epim

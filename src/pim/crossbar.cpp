@@ -251,9 +251,7 @@ std::vector<std::int64_t> CrossbarArray::mvm(
     const std::vector<std::uint32_t>& input,
     const std::vector<bool>& row_enable, int act_bits) const {
   std::vector<std::int64_t> acc;
-  std::int64_t clips = 0;
-  mvm(input, row_enable, act_bits, acc, &clips);
-  clip_count_ = clips;
+  mvm(input, row_enable, act_bits, acc, nullptr);
   return acc;
 }
 

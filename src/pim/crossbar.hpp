@@ -75,18 +75,11 @@ class CrossbarArray {
   std::vector<std::int64_t> mvm(const std::vector<std::uint32_t>& input,
                                 int act_bits) const;
 
-  /// Thread-safe variant: identical output, but ADC clip events are reported
-  /// through *clip_count (accumulated, not reset) instead of the mutable
-  /// last_clip_count() diagnostic, so concurrent callers sharing one
-  /// programmed array never race.
+  /// Same output into `acc`, with ADC clip events accumulated (not reset)
+  /// into *clip_count when it is non-null.
   void mvm(const std::vector<std::uint32_t>& input,
            const std::vector<bool>& row_enable, int act_bits,
            std::vector<std::int64_t>& acc, std::int64_t* clip_count) const;
-
-  /// Number of ADC clippings observed in the last mvm() call (diagnostic for
-  /// the ADC-resolution ablation). Undefined under concurrent mvm() -- use
-  /// the clip-out overload there.
-  std::int64_t last_clip_count() const { return clip_count_; }
 
  private:
   /// Analog reference path (always taken by non-ideal arrays).
@@ -120,7 +113,6 @@ class CrossbarArray {
   /// input (precomputed worst case: all rows enabled, all input bits set);
   /// licenses the direct integer path, which skips the ADC entirely.
   bool never_clips_ = false;
-  mutable std::int64_t clip_count_ = 0;
 };
 
 }  // namespace epim

@@ -76,12 +76,9 @@ std::int64_t DeployedModel::total_crossbars() const {
   return runtime_->total_crossbars();
 }
 
-std::int64_t DeployedModel::last_clip_count() const {
-  return runtime_->last_clip_count();
-}
-
-Tensor DeployedModel::forward(const Tensor& image) {
-  return runtime_->forward(image);
+Tensor DeployedModel::forward(const Tensor& image,
+                              std::int64_t* clips) const {
+  return runtime_->forward(image, clips);
 }
 
 std::vector<Tensor> DeployedModel::forward_batch(
@@ -94,8 +91,9 @@ const SmallNetConfig& DeployedModel::model_config() const {
   return runtime_->deploy_state().config;
 }
 
-double DeployedModel::evaluate(const Dataset& dataset) {
-  return runtime_->evaluate(dataset);
+double DeployedModel::evaluate(const Dataset& dataset,
+                               std::int64_t* clips) const {
+  return runtime_->evaluate(dataset, clips);
 }
 
 // ---------------------------------------------------------------------------

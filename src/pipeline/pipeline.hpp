@@ -50,11 +50,9 @@ class DeployedModel {
   /// Crossbars programmed across all on-chip layers.
   std::int64_t total_crossbars() const;
 
-  /// ADC clip events during the most recent forward (diagnostics).
-  std::int64_t last_clip_count() const;
-
   /// Run one (C, H, W) image fully on the simulated chip; returns logits.
-  Tensor forward(const Tensor& image);
+  /// The image's ADC clip events are stored in *clips when it is non-null.
+  Tensor forward(const Tensor& image, std::int64_t* clips = nullptr) const;
 
   /// Thread-safe batched forward: logits[i] is bit-identical to
   /// forward(images[i]) at any batch size and thread count; per-image clip
@@ -67,8 +65,10 @@ class DeployedModel {
   /// against): channels x image_size x image_size.
   const SmallNetConfig& model_config() const;
 
-  /// Top-1 accuracy over a dataset, everything executed on-chip.
-  double evaluate(const Dataset& dataset);
+  /// Top-1 accuracy over a dataset, everything executed on-chip; the ADC
+  /// clip events summed over it are stored in *clips when it is non-null.
+  double evaluate(const Dataset& dataset,
+                  std::int64_t* clips = nullptr) const;
 
   /// Serialize to a `.epim` artifact (see serve/artifact.hpp). A later
   /// Pipeline::load_deployed(path) answers bit-identically to this model.

@@ -35,8 +35,6 @@ void validate_serve(const ServeConfig& serve) {
   EPIM_CHECK(serve.workers >= 1 && serve.workers <= detail::kMaxThreads,
              "serve.workers must be in [1, " +
                  std::to_string(detail::kMaxThreads) + "]");
-  EPIM_CHECK(serve.latency_window >= 1,
-             "serve.latency_window must be positive");
   EPIM_CHECK(serve.max_queue >= 0,
              "serve.max_queue must be non-negative (0 = unbounded)");
   EPIM_CHECK(serve.max_workers == 0 ||

@@ -138,10 +138,6 @@ struct ServeConfig {
   /// overlap (batching latency hidden behind compute, multiple in-flight
   /// batches), not extra compute threads.
   int workers = 1;
-  /// How many of the most recent completed requests the p50/p99 latency
-  /// digest covers (must be positive). Bounds ServiceStats memory to O(1)
-  /// for a long-lived service.
-  int latency_window = 4096;
   /// Admission bound: largest number of requests allowed to sit queued
   /// (not yet flushed into a batch). A submission that would exceed it is
   /// rejected with epim::Unavailable instead of growing the queue -- the

@@ -6,7 +6,6 @@
 
 #include "common/check.hpp"
 #include "common/fault_inject.hpp"
-#include "common/math_util.hpp"
 #include "serve/artifact.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -773,12 +772,13 @@ RegistrySnapshot ModelRegistry::stats() const {
   }
   lock.unlock();
 
-  std::vector<double> pooled;
+  // Fleet percentiles: the merge of the resident services' interval
+  // histograms, so they sit on the same buckets as each service's p50/p99.
+  telemetry::Histogram fleet_latency;
   for (const PinnedRef& p : pinned) {
     ModelSnapshot& m = snapshot.models[p.index];
     ServiceStats live = p.service->stats();
-    const std::vector<double> window = p.service->recent_latencies_ms();
-    pooled.insert(pooled.end(), window.begin(), window.end());
+    fleet_latency.merge(p.service->interval_latency());
     // Fold the retired counters captured under the lock into the live
     // snapshot; rates/gauges (items_per_sec, queued, percentiles, workers)
     // describe the live service alone and come along unchanged.
@@ -818,9 +818,8 @@ RegistrySnapshot ModelRegistry::stats() const {
           m.stats.deadline_misses_by_priority[static_cast<std::size_t>(p)];
     }
   }
-  std::sort(pooled.begin(), pooled.end());
-  snapshot.p50_latency_ms = nearest_rank_percentile(pooled, 0.50);
-  snapshot.p99_latency_ms = nearest_rank_percentile(pooled, 0.99);
+  snapshot.p50_latency_ms = fleet_latency.quantile(0.50);
+  snapshot.p99_latency_ms = fleet_latency.quantile(0.99);
   return snapshot;
 }
 

@@ -94,7 +94,7 @@
 // so no thread ever touches a dead service. Eviction victims drain OUTSIDE
 // the lock too (kDraining), and LRU selection skips kLoading/pinned
 // entries. stats() likewise pins the resident services under the lock and
-// reads their counters/latency windows after releasing it, so a monitoring
+// reads their counters/latency histograms after releasing it, so a monitoring
 // scrape never stalls fleet admission.
 #pragma once
 
@@ -239,8 +239,10 @@ struct RegistrySnapshot {
   /// Sum of the resident services' items/s (each measured over its own
   /// submit->completion window).
   double items_per_sec = 0.0;
-  /// Percentiles over the POOLED latency windows of all resident services
-  /// -- the fleet-wide digest a per-service p50/p99 cannot provide.
+  /// Percentiles of the merged interval latency histograms of all resident
+  /// services -- the fleet-wide digest a per-service p50/p99 cannot provide,
+  /// at the same bucket-upper-bound resolution (with one resident model the
+  /// two are equal).
   double p50_latency_ms = 0.0;
   double p99_latency_ms = 0.0;
 };
@@ -349,7 +351,7 @@ class ModelRegistry {
   /// Fleet snapshot (see RegistrySnapshot). Entry-level fields (health,
   /// retired counters, lifecycle) are captured atomically under the
   /// registry lock; the resident services' live counters and latency
-  /// windows are then read with the lock RELEASED and the services pinned,
+  /// histograms are then read with the lock RELEASED and the services pinned,
   /// so a scrape never blocks admission -- the live half may therefore be
   /// a few requests newer than the entry half.
   RegistrySnapshot stats() const;
@@ -520,7 +522,7 @@ class ModelRegistry {
   /// a service stats read (all of those run with the lock dropped and the
   /// entry pinned or in kLoading/kDraining). Lockdep consequence: since
   /// PR 8 this lock has NO outgoing edges -- it is never held while
-  /// acquiring InferenceService::mu_/stats_mu_ or the fault registry's leaf
+  /// acquiring InferenceService::mu_ or the fault registry's leaf
   /// mutex -- and the lockdep-gated tests pin that absence. Entry CondVar
   /// waits release and re-acquire this lock through the hooked
   /// MutexLock::unlock()/lock() path, so the lockdep held-set stays exact

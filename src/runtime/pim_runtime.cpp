@@ -225,13 +225,6 @@ Tensor PimNetworkRuntime::forward_impl(const Tensor& image, Workspace& ws,
   return logits;
 }
 
-Tensor PimNetworkRuntime::forward(const Tensor& image) {
-  std::int64_t clips = 0;
-  Tensor logits = forward_impl(image, scratch_, clips);
-  clip_count_ = clips;
-  return logits;
-}
-
 Tensor PimNetworkRuntime::forward(const Tensor& image,
                                   std::int64_t* clips) const {
   Workspace ws;
@@ -265,7 +258,8 @@ std::vector<Tensor> PimNetworkRuntime::forward_batch(
   return logits;
 }
 
-double PimNetworkRuntime::evaluate(const Dataset& dataset) {
+double PimNetworkRuntime::evaluate(const Dataset& dataset,
+                                   std::int64_t* clips) const {
   EPIM_CHECK(dataset.size() > 0, "cannot evaluate on an empty dataset");
   // Images fan out across threads; each chunk keeps its own workspace and
   // integer tallies, combined in chunk order (exact integer sums, so the
@@ -292,12 +286,12 @@ double PimNetworkRuntime::evaluate(const Dataset& dataset) {
               arg == dataset.labels[static_cast<std::size_t>(i)] ? 1 : 0;
         }
       });
-  std::int64_t correct = 0, clips = 0;
+  std::int64_t correct = 0, total_clips = 0;
   for (const Tally& t : tallies) {
     correct += t.correct;
-    clips += t.clips;
+    total_clips += t.clips;
   }
-  clip_count_ = clips;
+  if (clips != nullptr) *clips = total_clips;
   return static_cast<double>(correct) / static_cast<double>(dataset.size());
 }
 

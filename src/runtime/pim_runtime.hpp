@@ -79,17 +79,11 @@ class PimNetworkRuntime {
   /// Crossbars programmed across all on-chip layers.
   std::int64_t total_crossbars() const;
 
-  /// ADC clip events during the most recent forward() (or, after
-  /// evaluate(), summed over the whole dataset). Diagnostics only.
-  std::int64_t last_clip_count() const { return clip_count_; }
-
   /// Run one (C, H, W) image fully on the simulated chip; returns logits.
-  Tensor forward(const Tensor& image);
-
-  /// Thread-safe variant: identical logits, clip events reported through
-  /// *clips (set, not accumulated) instead of last_clip_count(), so
-  /// concurrent callers sharing one programmed runtime never race.
-  Tensor forward(const Tensor& image, std::int64_t* clips) const;
+  /// The image's ADC clip events are stored (set, not accumulated) in
+  /// *clips when it is non-null. Pure against the programmed crossbars, so
+  /// concurrent callers sharing one runtime never race.
+  Tensor forward(const Tensor& image, std::int64_t* clips = nullptr) const;
 
   /// Run a batch of (C, H, W) images, fanning out across the shared thread
   /// pool with per-chunk workspaces. logits[i] is bit-identical to
@@ -100,8 +94,11 @@ class PimNetworkRuntime {
       std::vector<std::int64_t>* per_image_clips = nullptr) const;
 
   /// Top-1 accuracy over a dataset, everything executed on-chip. Images are
-  /// evaluated in parallel; the result is thread-count independent.
-  double evaluate(const Dataset& dataset);
+  /// evaluated in parallel; the result is thread-count independent. The
+  /// ADC clip events summed over the dataset are stored in *clips when it
+  /// is non-null.
+  double evaluate(const Dataset& dataset,
+                  std::int64_t* clips = nullptr) const;
 
  private:
   struct CompiledBlock {
@@ -140,8 +137,6 @@ class PimNetworkRuntime {
   RuntimeConfig config_;
   SmallEpitomeNet::Deploy deploy_;
   std::vector<CompiledBlock> blocks_;  // block1..3 in order
-  Workspace scratch_;                  // forward()'s serial-path workspace
-  std::int64_t clip_count_ = 0;
 };
 
 }  // namespace epim

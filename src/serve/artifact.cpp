@@ -1,20 +1,12 @@
 #include "serve/artifact.hpp"
 
 #include <atomic>
-#include <bit>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <optional>
 #include <utility>
 #include <vector>
-
-#ifndef _WIN32
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
 
 #include "common/check.hpp"
 #include "common/fault_inject.hpp"
@@ -412,11 +404,10 @@ void put_pipeline_config(Writer& w, const PipelineConfig& c) {
   w.i32(c.serve.max_batch);
   w.f64(c.serve.flush_deadline_ms);
   w.i32(c.serve.workers);
-  w.i32(c.serve.latency_window);
   w.i32(c.serve.max_queue);
-  // Scheduler knobs appended by schema v4 (SLA-aware scheduling core);
-  // kSchemaVersion bumped 3 -> 4 with them -- the codec is positional, so
-  // a v3 payload cannot be decoded and is rejected by the version check.
+  // Scheduler knobs (SLA-aware scheduling core). This field order is the
+  // schema v5 layout; the codec is positional, so a payload of any other
+  // version cannot be decoded and is rejected by the version check.
   w.i32(c.serve.max_workers);
   w.i32(c.serve.fairness_quantum);
   w.boolean(c.serve.reslice_bursts);
@@ -457,9 +448,8 @@ PipelineConfig get_pipeline_config(Reader& r) {
   c.serve.max_batch = r.i32();
   c.serve.flush_deadline_ms = r.f64();
   c.serve.workers = r.i32();
-  c.serve.latency_window = r.i32();
   c.serve.max_queue = r.i32();
-  // Schema v4 scheduler knobs (see the writer's matching comment).
+  // Scheduler knobs (see the writer's matching comment).
   c.serve.max_workers = r.i32();
   c.serve.fairness_quantum = r.i32();
   c.serve.reslice_bursts = r.boolean();
@@ -752,12 +742,21 @@ void check_readable_file(const std::string& path) {
              std::string(artifact::kErrNotFile) + ": " + path);
 }
 
-/// Whole-file slurp; the caller has already run check_readable_file().
+/// Whole-file slurp: one sized read of file_size bytes; the caller has
+/// already run check_readable_file(). A short read (the file shrank under
+/// us) keeps only what arrived, so header/section parsing reports it with
+/// the pinned kErrTruncated.
 std::vector<std::uint8_t> slurp_file(const std::string& path) {
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
   std::ifstream in(path, std::ios::binary);
-  EPIM_CHECK(in.good(), std::string(artifact::kErrCannotOpen) + ": " + path);
-  return std::vector<std::uint8_t>((std::istreambuf_iterator<char>(in)),
-                                   std::istreambuf_iterator<char>());
+  EPIM_CHECK(!ec && in.good(),
+             std::string(artifact::kErrCannotOpen) + ": " + path);
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
+  in.read(reinterpret_cast<char*>(bytes.data()),
+          static_cast<std::streamsize>(bytes.size()));
+  bytes.resize(static_cast<std::size_t>(in.gcount()));
+  return bytes;
 }
 
 void check_header(const std::uint8_t* data, std::size_t size) {
@@ -765,105 +764,24 @@ void check_header(const std::uint8_t* data, std::size_t size) {
   EPIM_CHECK(std::memcmp(data, kMagic, 8) == 0, kErrBadMagic);
 }
 
-std::atomic<artifact::IoMode> g_io_mode{
-#ifndef _WIN32
-    artifact::IoMode::kMmap
-#else
-    artifact::IoMode::kRead
-#endif
-};
-
-#ifndef _WIN32
-/// Read-only mmap of a whole file, the backing store of the zero-copy load
-/// path: decoders consume the page cache directly instead of a slurped heap
-/// duplicate. An empty file maps nothing (data() == nullptr, size() == 0);
-/// header validation rejects it as truncated before any payload access.
-class MappedFile {
- public:
-  explicit MappedFile(const std::string& path) {
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    EPIM_CHECK(fd >= 0, std::string(artifact::kErrCannotOpen) + ": " + path);
-    struct stat st {};
-    if (::fstat(fd, &st) != 0) {
-      ::close(fd);
-      EPIM_CHECK(false,
-                 std::string(artifact::kErrCannotOpen) + ": " + path);
-    }
-    size_ = static_cast<std::size_t>(st.st_size);
-    if (size_ > 0) {
-      void* addr = ::mmap(nullptr, size_, PROT_READ, MAP_PRIVATE, fd, 0);
-      if (addr == MAP_FAILED) {
-        ::close(fd);
-        EPIM_CHECK(false, std::string(artifact::kErrCannotOpen) + ": " +
-                              path + " (mmap)");
-      }
-      data_ = static_cast<const std::uint8_t*>(addr);
-    }
-    ::close(fd);  // the mapping keeps the file contents reachable
-  }
-  ~MappedFile() {
-    if (data_ != nullptr) {
-      ::munmap(const_cast<std::uint8_t*>(data_), size_);
-    }
-  }
-  MappedFile(const MappedFile&) = delete;
-  MappedFile& operator=(const MappedFile&) = delete;
-
-  const std::uint8_t* data() const { return data_; }
-  std::size_t size() const { return size_; }
-
- private:
-  const std::uint8_t* data_ = nullptr;
-  std::size_t size_ = 0;
-};
-#endif
-
-/// Parsed .epim container over one of two interchangeable backing stores:
-///
-///  * IoMode::kMmap -- the file is mapped read-only and section payloads are
-///    validated LAZILY: the FNV-1a checksum runs on a section's first
-///    reader() touch, so a load never checksums (or copies) bytes it does
-///    not decode.
-///  * IoMode::kRead -- the file is slurped and every checksum verified
-///    EAGERLY before any payload is decoded: the original codec, kept as
-///    the golden reference the mmap path must stay bit-identical to.
-///
-/// Either way the section table is fully bounds-checked up front and a
-/// corrupt payload raises the same pinned kErrChecksum.
+/// Parsed .epim container: the file is slurped, the section table fully
+/// bounds-checked and every section's FNV-1a checksum verified before any
+/// payload is decoded, so a corrupt artifact is rejected with the pinned
+/// kErrChecksum up front.
 class Container {
  public:
-  Container(const std::string& path, artifact::Kind expected_kind) {
-    check_readable_file(path);
-#ifndef _WIN32
-    if (g_io_mode.load(std::memory_order_relaxed) ==
-        artifact::IoMode::kMmap) {
-      map_.emplace(path);
-      data_ = map_->data();
-      size_ = map_->size();
-      lazy_ = true;
-    }
-#endif
-    if (!lazy_) {
-      bytes_ = slurp_file(path);
-      data_ = bytes_.data();
-      size_ = bytes_.size();
-    }
-    // Chaos hook: an I/O error mid-read (truncated slurp, yanked disk); on
-    // the mmap path it fires once the mapping is established.
+  Container(const std::string& path, artifact::Kind expected_kind)
+      : bytes_((check_readable_file(path), slurp_file(path))) {
+    // Chaos hook: an I/O error mid-read (truncated slurp, yanked disk).
     fault::maybe_fail("artifact.read");
     parse(expected_kind);
-    if (!lazy_) {
-      for (SectionView& s : sections_) validate(s);
-    }
+    for (const SectionView& s : sections_) validate(s);
   }
 
-  /// Decoder positioned at the start of the section tagged `tag`. On the
-  /// mmap path this is where the section's checksum is verified (once).
-  Reader reader(const std::string& tag) {
-    for (SectionView& s : sections_) {
-      if (s.tag != tag) continue;
-      if (!s.validated) validate(s);
-      return Reader(s.data, s.size);
+  /// Decoder positioned at the start of the section tagged `tag`.
+  Reader reader(const std::string& tag) const {
+    for (const SectionView& s : sections_) {
+      if (s.tag == tag) return Reader(s.data, s.size);
     }
     EPIM_CHECK(false, "artifact is missing section '" + tag + "'");
     // Unreachable; EPIM_CHECK(false, ...) always throws.
@@ -876,14 +794,15 @@ class Container {
     const std::uint8_t* data = nullptr;
     std::size_t size = 0;
     std::uint64_t checksum = 0;
-    bool validated = false;
   };
 
-  /// Header + section-table walk. Bounds-checks every section against the
-  /// file size but touches no payload bytes (keeps the lazy path lazy).
+  /// Header + section-table walk, bounds-checking every section against
+  /// the file size.
   void parse(artifact::Kind expected_kind) {
-    check_header(data_, size_);
-    Reader header(data_, size_);
+    const std::uint8_t* data = bytes_.data();
+    const std::size_t file_size = bytes_.size();
+    check_header(data, file_size);
+    Reader header(data, file_size);
     for (int i = 0; i < 8; ++i) header.u8();  // magic, already checked
     const std::uint32_t version = header.u32();
     EPIM_CHECK(version == artifact::kSchemaVersion, kErrBadVersion);
@@ -894,8 +813,8 @@ class Container {
 
     std::size_t pos = kHeaderBytes;
     for (std::uint32_t s = 0; s < count; ++s) {
-      EPIM_CHECK(size_ - pos >= kSectionHeaderBytes, kErrTruncated);
-      Reader sh(data_ + pos, kSectionHeaderBytes);
+      EPIM_CHECK(file_size - pos >= kSectionHeaderBytes, kErrTruncated);
+      Reader sh(data + pos, kSectionHeaderBytes);
       SectionView view;
       for (int i = 0; i < 8; ++i) {
         const char c = static_cast<char>(sh.u8());
@@ -904,31 +823,24 @@ class Container {
       const std::uint64_t size = sh.u64();
       view.checksum = sh.u64();
       pos += kSectionHeaderBytes;
-      EPIM_CHECK(size <= size_ - pos, kErrTruncated);
-      view.data = data_ + pos;
+      EPIM_CHECK(size <= file_size - pos, kErrTruncated);
+      view.data = data + pos;
       view.size = static_cast<std::size_t>(size);
       pos += view.size;
       sections_.push_back(std::move(view));
     }
   }
 
-  void validate(SectionView& s) {
+  static void validate(const SectionView& s) {
     // Chaos hook folded into the verification itself: a firing
     // artifact.checksum fault takes the REAL corruption-rejection path and
     // raises the same pinned kErrChecksum as flipped bits on disk would.
     EPIM_CHECK(!fault::should_fire("artifact.checksum") &&
                    fnv1a(s.data, s.size) == s.checksum,
                kErrChecksum);
-    s.validated = true;
   }
 
-#ifndef _WIN32
-  std::optional<MappedFile> map_;
-#endif
-  std::vector<std::uint8_t> bytes_;  ///< kRead backing store
-  const std::uint8_t* data_ = nullptr;
-  std::size_t size_ = 0;
-  bool lazy_ = false;
+  std::vector<std::uint8_t> bytes_;
   std::vector<SectionView> sections_;
 };
 
@@ -1085,15 +997,9 @@ DeployedModel ArtifactCodec::load_deployed(const std::string& path) {
 
 namespace artifact {
 
-void set_io_mode(IoMode mode) {
-  g_io_mode.store(mode, std::memory_order_relaxed);
-}
-
-IoMode io_mode() { return g_io_mode.load(std::memory_order_relaxed); }
-
 Info probe(const std::string& path) {
   // Header only -- probing a multi-megabyte deployed artifact must not
-  // slurp the weights (nor map them; the 20 bytes are cheaper read).
+  // slurp the weights.
   check_readable_file(path);
   std::ifstream in(path, std::ios::binary);
   EPIM_CHECK(in.good(), std::string(kErrCannotOpen) + ": " + path);

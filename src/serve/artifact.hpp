@@ -22,12 +22,8 @@
 // load() verifies magic, version, kind and the section table up front;
 // truncation, foreign files, future versions and bit corruption are all
 // rejected with distinct InvalidArgument messages (see kErr* below, pinned
-// by tests/test_serve.cpp). WHEN payload checksums are verified depends on
-// the I/O mode (see IoMode): the mmap path maps the file read-only and
-// checks each section lazily on its first decode touch; the read() path
-// slurps the file and checks every section eagerly before decoding a byte.
-// Both paths decode bit-identically and reject corruption with the same
-// pinned kErrChecksum.
+// by tests/test_serve.cpp). load_*() reads the whole file in one sized read
+// and verifies every section's checksum before decoding a byte.
 //
 // Determinism contract: loading re-resolves the precision plan and
 // re-programs the crossbars (non-ideality draws are re-seeded from the
@@ -49,11 +45,12 @@ namespace artifact {
 /// Schema version written by save(); load() rejects anything else (the
 /// codec reads fields positionally, so older payloads cannot be decoded
 /// either -- they fail with a clean version error, never a misparse).
-/// History: v1 = PR 3; v2 = ServeConfig gained latency_window/max_queue;
-/// v3 = ServeConfig gained workers (continuous-batching worker count);
-/// v4 = ServeConfig gained max_workers/fairness_quantum/reslice_bursts
-/// (SLA-aware scheduling core).
-inline constexpr std::uint32_t kSchemaVersion = 4;
+/// History: v1 = first format; v2 = ServeConfig gained a latency-window
+/// size and max_queue; v3 = ServeConfig gained workers (continuous-batching
+/// worker count); v4 = ServeConfig gained max_workers/fairness_quantum/
+/// reslice_bursts (SLA-aware scheduling core); v5 = ServeConfig dropped the
+/// latency-window size (the latency digest is the interval histogram).
+inline constexpr std::uint32_t kSchemaVersion = 5;
 
 /// Artifact kinds stored in the header.
 enum class Kind : std::uint32_t {
@@ -73,24 +70,6 @@ inline constexpr const char* kErrBadVersion =
 inline constexpr const char* kErrBadKind = "artifact kind mismatch";
 inline constexpr const char* kErrChecksum =
     "artifact section checksum mismatch";
-
-/// Backing store load_*() decodes from.
-enum class IoMode : std::uint32_t {
-  /// Map the file read-only (zero-copy: decoders consume the page cache
-  /// directly, no slurped heap duplicate of the weights) and verify each
-  /// section's checksum LAZILY, on its first decode touch.
-  kMmap,
-  /// Slurp the whole file and verify every section EAGERLY before decoding
-  /// a byte -- the original codec, kept as the golden reference the mmap
-  /// path must stay bit-identical to (including rejection errors).
-  kRead,
-};
-
-/// Process-wide I/O mode switch (atomic; applies to subsequent loads).
-/// Defaults to kMmap on POSIX and kRead elsewhere; on platforms without
-/// mmap the setting is recorded but loads always take the read path.
-void set_io_mode(IoMode mode);
-IoMode io_mode();
 
 /// Header summary of an artifact on disk (cheap: reads only the 20-byte
 /// header, never the payload).

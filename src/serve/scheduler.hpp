@@ -37,10 +37,9 @@
 //
 // Locking: the Scheduler is deliberately a PLAIN data structure with no
 // mutex of its own. It slots under the existing InferenceService::mu_
-// (declared EPIM_GUARDED_BY(mu_) there), so the fleet lock order
-// `ModelRegistry::mu_` -> `InferenceService::mu_` -> stats_mu_ gains no new
-// node and `ModelRegistry::mu_` keeps zero outgoing edges -- the lockdep
-// invariant PR 8 pinned. tests/test_lockdebug.cpp drives priority traffic
+// (declared EPIM_GUARDED_BY(mu_) there), so the fleet lock graph gains no
+// node: `ModelRegistry::mu_` and `InferenceService::mu_` both keep zero
+// outgoing edges. tests/test_lockdebug.cpp drives priority traffic
 // through a registry to prove it.
 //
 // Determinism contract: the scheduler only picks WHICH queued requests a

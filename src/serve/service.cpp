@@ -56,7 +56,7 @@ InferenceService::InferenceService(DeployedModel model, ServeConfig config,
   pool_cap_ = config_.max_workers > 0 ? config_.max_workers : config_.workers;
   // Resolve every series before any worker exists: the lookups take the
   // telemetry registration mutex (a leaf), and doing it here keeps that
-  // mutex off every path that holds mu_/stats_mu_.
+  // mutex off every path that holds mu_.
   telemetry::metrics::ensure_registered();
   {
     telemetry::Registry& reg = telemetry::Registry::process();
@@ -217,7 +217,6 @@ std::vector<std::future<InferenceResult>> InferenceService::submit_batch(
       }
       if (sched_.size() + images.size() > bound) {
         m_rejected_->inc(static_cast<std::int64_t>(images.size()));
-        MutexLock stats_lock(stats_mu_);
         rejected_ += static_cast<std::int64_t>(images.size());
         throw Unavailable(std::string(kErrQueueFull) + ": " +
                           std::to_string(sched_.size()) + " queued + " +
@@ -227,14 +226,10 @@ std::vector<std::future<InferenceResult>> InferenceService::submit_batch(
     }
     // Record the throughput-window start *before* the requests become
     // visible to the workers: once any of them is counted in completed_,
-    // the window start is guaranteed set. (Lock order mu_ -> stats_mu_ is
-    // used nowhere in reverse.)
-    {
-      MutexLock stats_lock(stats_mu_);
-      if (!saw_first_submit_) {
-        saw_first_submit_ = true;
-        first_submit_ = now;
-      }
+    // the window start is guaranteed set.
+    if (!saw_first_submit_) {
+      saw_first_submit_ = true;
+      first_submit_ = now;
     }
     Clock::time_point deadline = Clock::time_point::max();
     if (options.deadline_ms > 0.0) {
@@ -382,17 +377,18 @@ void InferenceService::worker_loop(std::size_t worker) {
     // programmed crossbars, so concurrent batches stay bit-identical.
     lock.unlock();
     cv_.notify_all();
+    BatchOutcome outcome;
     try {
       // Chaos hook at the batch-close seam: an injected serve.schedule
       // fault fails exactly this batch's futures (via the guard below) and
       // must never kill the worker or wedge the pool.
       fault::maybe_fail("serve.schedule");
-      run_batch(batch, worker, closed_at);
+      outcome = run_batch(batch, worker, closed_at);
     } catch (...) {
       // run_batch already routes forward-pass failures to the batch's
       // futures; this guard is for everything it could not anticipate
-      // (bad_alloc in the stats fold, an armed serve.schedule fault, a
-      // throwing fault point outside the forward try). A worker thread
+      // (bad_alloc assembling the results, an armed serve.schedule fault,
+      // a throwing fault point outside the forward try). A worker thread
       // must never die: fail whatever futures are still unfulfilled and
       // keep draining.
       const std::exception_ptr error = std::current_exception();
@@ -406,6 +402,7 @@ void InferenceService::worker_loop(std::size_t worker) {
     }
     lock.lock();
     worker_in_flight_[worker] = 0;
+    complete_batch_locked(batch, outcome);
   }
 }
 
@@ -423,13 +420,10 @@ std::size_t InferenceService::shed_expired_locked(Clock::time_point now) {
   m_deadline_misses_->inc(static_cast<std::int64_t>(expired.size()));
   // Count BEFORE failing the futures: a caller that observes a future's
   // DeadlineExceeded and then reads stats() must see the miss counted.
-  {
-    MutexLock stats_lock(stats_mu_);
-    deadline_misses_ += static_cast<std::int64_t>(expired.size());
-    for (int p = 0; p < kNumPriorities; ++p) {
-      deadline_misses_by_priority_[static_cast<std::size_t>(p)] +=
-          shed_by_prio[static_cast<std::size_t>(p)];
-    }
+  deadline_misses_ += static_cast<std::int64_t>(expired.size());
+  for (int p = 0; p < kNumPriorities; ++p) {
+    deadline_misses_by_priority_[static_cast<std::size_t>(p)] +=
+        shed_by_prio[static_cast<std::size_t>(p)];
   }
   for (SchedRequest& r : expired) {
     r.promise.set_exception(deadline_error(r.enqueued, now));
@@ -437,9 +431,9 @@ std::size_t InferenceService::shed_expired_locked(Clock::time_point now) {
   return expired.size();
 }
 
-void InferenceService::run_batch(std::vector<SchedRequest>& batch,
-                                 std::size_t worker,
-                                 Clock::time_point closed_at) {
+InferenceService::BatchOutcome InferenceService::run_batch(
+    std::vector<SchedRequest>& batch, std::size_t worker,
+    Clock::time_point closed_at) {
   // One relaxed load decides whether this batch pays any tracing cost at
   // all; the run-begin clock read happens only when armed.
   const bool traced = telemetry::tracing();
@@ -461,7 +455,7 @@ void InferenceService::run_batch(std::vector<SchedRequest>& batch,
     // whole batch rather than wedge its futures, and keep serving.
     const std::exception_ptr error = std::current_exception();
     for (SchedRequest& r : batch) r.promise.set_exception(error);
-    return;
+    return {};
   }
 
   // forward_batch's contract: one logits tensor and one clip count per
@@ -469,14 +463,12 @@ void InferenceService::run_batch(std::vector<SchedRequest>& batch,
   EPIM_DCHECK(logits.size() == batch.size() && clips.size() == batch.size(),
               "forward_batch result count does not match the batch");
 
-  const auto done = Clock::now();
-  std::vector<InferenceResult> results(batch.size());
+  BatchOutcome outcome;
+  outcome.done = Clock::now();
+  outcome.results.resize(batch.size());
   std::int64_t batch_clips = 0;
-  std::vector<double> batch_latencies;
-  batch_latencies.reserve(batch.size());
-  std::array<std::int64_t, kNumPriorities> done_by_prio{};
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    InferenceResult& result = results[i];
+    InferenceResult& result = outcome.results[i];
     result.logits = std::move(logits[i]);
     result.clip_count = clips[i];
     for (std::int64_t j = 1; j < result.logits.numel(); ++j) {
@@ -485,8 +477,6 @@ void InferenceService::run_batch(std::vector<SchedRequest>& batch,
       }
     }
     batch_clips += clips[i];
-    batch_latencies.push_back(ms_between(batch[i].enqueued, done));
-    ++done_by_prio[prio_index(batch[i].priority)];
   }
 
   // Fleet telemetry: cached series pointers, relaxed atomics only -- no
@@ -496,9 +486,10 @@ void InferenceService::run_batch(std::vector<SchedRequest>& batch,
   m_requests_->inc(static_cast<std::int64_t>(batch.size()));
   m_batches_->inc(1);
   m_clip_events_->inc(batch_clips);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    m_latency_[prio_index(batch[i].priority)]->observe(batch_latencies[i]);
-    interval_latency_.observe(batch_latencies[i]);
+  for (const SchedRequest& r : batch) {
+    const double latency = ms_between(r.enqueued, outcome.done);
+    m_latency_[prio_index(r.priority)]->observe(latency);
+    interval_latency_.observe(latency);
   }
   if (traced) {
     telemetry::SpanRecord span;
@@ -508,39 +499,32 @@ void InferenceService::run_batch(std::vector<SchedRequest>& batch,
     span.batch = static_cast<std::uint32_t>(batch.size());
     span.close_ms = telemetry::trace_ms(closed_at);
     span.run_begin_ms = telemetry::trace_ms(run_begin);
-    span.run_end_ms = telemetry::trace_ms(done);
+    span.run_end_ms = telemetry::trace_ms(outcome.done);
     for (const SchedRequest& r : batch) {
       span.submit_ms = telemetry::trace_ms(r.enqueued);
       telemetry::record_span(span);
     }
   }
+  return outcome;
+}
 
-  // Record stats before fulfilling any promise, so a stats() snapshot taken
-  // right after a future resolves already counts that request.
-  {
-    MutexLock lock(stats_mu_);
-    completed_ += static_cast<std::int64_t>(batch.size());
-    batches_ += 1;
-    clip_events_ += batch_clips;
-    for (int p = 0; p < kNumPriorities; ++p) {
-      completed_by_priority_[static_cast<std::size_t>(p)] +=
-          done_by_prio[static_cast<std::size_t>(p)];
-    }
-    // Concurrent batches can reach this lock out of completion order; the
-    // throughput window must end at the LATEST completion seen.
-    if (done > last_done_) last_done_ = done;
-    const auto window = static_cast<std::size_t>(config_.latency_window);
-    for (const double latency : batch_latencies) {
-      if (latencies_ms_.size() < window) {
-        latencies_ms_.push_back(latency);
-      } else {
-        latencies_ms_[latency_next_] = latency;
-        latency_next_ = (latency_next_ + 1) % window;
-      }
-    }
-  }
+void InferenceService::complete_batch_locked(std::vector<SchedRequest>& batch,
+                                             BatchOutcome& outcome) {
+  if (outcome.results.empty()) return;  // failed: futures already resolved
+  completed_ += static_cast<std::int64_t>(batch.size());
+  batches_ += 1;
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    batch[i].promise.set_value(std::move(results[i]));
+    clip_events_ += outcome.results[i].clip_count;
+    ++completed_by_priority_[prio_index(batch[i].priority)];
+  }
+  // Concurrent batches can get here out of completion order; the
+  // throughput window must end at the LATEST completion seen.
+  if (outcome.done > last_done_) last_done_ = outcome.done;
+  // Fulfilling under mu_ is safe (see shed_expired_locked), and coming
+  // after the fold above it guarantees a stats() read after get() counts
+  // the request.
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    batch[i].promise.set_value(std::move(outcome.results[i]));
   }
 }
 
@@ -548,9 +532,7 @@ void InferenceService::reset() {
   // The interval histogram is per-instance, so resetting it here cannot
   // disturb the shared (cumulative) scrape series.
   interval_latency_.reset();
-  MutexLock lock(stats_mu_);
-  latencies_ms_.clear();
-  latency_next_ = 0;
+  MutexLock lock(mu_);
   completed_ = 0;
   batches_ = 0;
   clip_events_ = 0;
@@ -567,25 +549,12 @@ void InferenceService::reset() {
   last_done_ = first_submit_;
 }
 
-std::vector<double> InferenceService::recent_latencies_ms() const {
-  MutexLock lock(stats_mu_);
-  // Unroll the ring chronologically: once saturated, latency_next_ is the
-  // oldest slot; while filling it stays 0, so this is a plain copy then.
-  const std::size_t n = latencies_ms_.size();
-  std::vector<double> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(latencies_ms_[(latency_next_ + i) % n]);
-  }
-  return out;
-}
-
 ServiceStats InferenceService::stats() const {
   ServiceStats s;
   s.workers = config_.workers;
   s.max_workers = pool_cap_;
   {
-    MutexLock lock(stats_mu_);
+    MutexLock lock(mu_);
     s.requests = completed_;
     s.batches = batches_;
     s.clip_events = clip_events_;
@@ -600,9 +569,6 @@ ServiceStats InferenceService::stats() const {
           std::chrono::duration<double>(last_done_ - first_submit_).count();
       s.items_per_sec = serve_detail::items_rate(completed_, wall_s);
     }
-  }
-  {
-    MutexLock lock(mu_);
     s.queued = static_cast<std::int64_t>(sched_.size());
     for (int p = 0; p < kNumPriorities; ++p) {
       s.queued_by_priority[static_cast<std::size_t>(p)] =
@@ -616,9 +582,8 @@ ServiceStats InferenceService::stats() const {
     s.live_workers = live_workers_;
   }
   // Percentiles come from the whole-interval histogram digest (every
-  // completion since the last reset()), not the bounded recent-latency
-  // ring: a burst larger than the ring can no longer evict the samples a
-  // p99 is supposed to be made of. Resolution is the bucket upper bound.
+  // completion since the last reset()). Resolution is the bucket upper
+  // bound.
   s.p50_latency_ms = interval_latency_.quantile(0.50);
   s.p99_latency_ms = interval_latency_.quantile(0.99);
   return s;

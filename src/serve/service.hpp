@@ -21,8 +21,11 @@
 // tests/test_serve.cpp asserts this.
 //
 // Thread safety: submit()/submit_batch()/stats()/reset() may be called from
-// any number of threads. The destructor (and detach()) drains the queue
-// (every returned future is fulfilled) before joining all workers.
+// any number of threads. One mutex guards the queue, the worker pool and
+// the interval stats; a worker counts a finished batch under it before
+// resolving that batch's futures, so a stats() read after get() sees the
+// request. The destructor (and detach()) drains the queue (every returned
+// future is fulfilled) before joining all workers.
 // Admission control: with ServeConfig::max_queue set, a submission that
 // would push the queue past the bound throws epim::Unavailable immediately
 // instead of blocking or growing the queue without bound; a single burst
@@ -86,7 +89,7 @@ inline double items_rate(std::int64_t completed, double wall_seconds) {
 
 }  // namespace serve_detail
 
-/// Monotonic counters + latency digest, snapshotted under the stats lock.
+/// Monotonic counters + latency digest, snapshotted under the queue lock.
 struct ServiceStats {
   std::int64_t requests = 0;       ///< completed requests
   std::int64_t batches = 0;        ///< flushes executed
@@ -97,12 +100,12 @@ struct ServiceStats {
   /// so completed traffic always reports a positive finite rate).
   double items_per_sec = 0.0;
   /// Request latency (submit -> result ready), simulated-request terms:
-  /// wall clock of the simulator, not of modelled PIM hardware. Since the
-  /// telemetry PR these come from the service's log-bucket latency
-  /// histogram over the WHOLE interval (reset() starts a new one), so the
-  /// digest covers every completed request at O(1) memory -- reported at
-  /// bucket-upper-bound resolution (power-of-two buckets). The exact
-  /// recent-window samples remain available via recent_latencies_ms().
+  /// wall clock of the simulator, not of modelled PIM hardware. They come
+  /// from the service's log-bucket latency histogram over the WHOLE
+  /// interval (reset() starts a new one), so the digest covers every
+  /// completed request at O(1) memory -- reported at bucket-upper-bound
+  /// resolution (power-of-two buckets). RegistrySnapshot merges these
+  /// histograms, so fleet and per-service percentiles share one digest.
   double p50_latency_ms = 0.0;
   double p99_latency_ms = 0.0;
   /// ADC clip events summed over all completed requests.
@@ -206,19 +209,19 @@ class InferenceService {
   /// Consistent snapshot of the counters.
   ServiceStats stats() const;
 
-  /// Zero every stats counter and clear the latency window, starting a new
-  /// measurement interval (a registry snapshots per-interval fleet stats
-  /// this way). Queued and in-flight requests are untouched: they complete
-  /// normally and count toward the NEW interval; the throughput window
-  /// restarts at the next submit after the reset.
+  /// Zero every stats counter and the interval latency histogram, starting
+  /// a new measurement interval (a registry snapshots per-interval fleet
+  /// stats this way). Queued and in-flight requests are untouched: they
+  /// complete normally and count toward the NEW interval; the throughput
+  /// window restarts at the next submit after the reset.
   void reset();
 
-  /// Copy of the recent-latency ring in CHRONOLOGICAL order (oldest first,
-  /// at most ServeConfig::latency_window entries). Lets a fleet aggregator
-  /// compute percentiles over the POOLED windows of many services -- which
-  /// cannot be derived from the per-service p50/p99 -- and doubles as a
-  /// time series for trend-style callers.
-  std::vector<double> recent_latencies_ms() const;
+  /// The interval latency histogram behind ServiceStats::p50/p99 (reset by
+  /// reset()). A fleet aggregator merges these (Histogram::merge) to get
+  /// fleet percentiles on the same buckets as the per-service ones.
+  const telemetry::Histogram& interval_latency() const {
+    return interval_latency_;
+  }
 
   /// Drain every pending request, stop and join all workers, and return
   /// the deployed model -- the inverse of construction. The registry uses
@@ -251,14 +254,22 @@ class InferenceService {
       "request deadline exceeded before execution started";
 
  private:
-  void worker_loop(std::size_t worker) EPIM_EXCLUDES(mu_, stats_mu_);
+  /// One executed batch's results, handed from run_batch (no lock held) to
+  /// the worker's next mu_ acquisition, which counts them and only then
+  /// fulfills the futures.
+  struct BatchOutcome {
+    std::vector<InferenceResult> results;  ///< empty if the batch failed
+    std::chrono::steady_clock::time_point done;  ///< forward pass finished
+  };
+
+  void worker_loop(std::size_t worker) EPIM_EXCLUDES(mu_);
   /// Sweep the scheduler for requests whose deadline has passed: each is
   /// removed, its future fails with DeadlineExceeded and the miss is
   /// counted (per class). Fulfilling a promise under mu_ is safe --
   /// set_exception only stores the error and wakes waiters, it runs no
   /// user code. Returns the number shed.
   std::size_t shed_expired_locked(std::chrono::steady_clock::time_point now)
-      EPIM_REQUIRES(mu_) EPIM_EXCLUDES(stats_mu_);
+      EPIM_REQUIRES(mu_);
   /// Adaptive-pool growth: start (or recycle) ONE retired worker slot when
   /// the queue holds more than the idle workers could absorb in a single
   /// batch each (queued > idle * max_batch) and the pool is below its
@@ -268,18 +279,25 @@ class InferenceService {
   void maybe_grow_locked() EPIM_REQUIRES(mu_);
   /// Workers currently executing a batch. EPIM_REQUIRES(mu_).
   int busy_workers_locked() const EPIM_REQUIRES(mu_);
-  /// Runs with NO lock held (the closing worker unlocks around it): several
-  /// batches execute concurrently, and the stats lock is taken only for the
-  /// final counter fold. A throwing forward pass (or an armed
-  /// serve.run_batch fault point) fails the batch's futures and leaves the
-  /// worker serving; worker_loop adds a last-ditch guard so no exception
+  /// Runs with NO lock held (the closing worker unlocks around it), so
+  /// several batches execute concurrently. Returns the results without
+  /// fulfilling any future: worker_loop folds them into the stats in the
+  /// mu_ acquisition it makes anyway, then resolves the futures. A throwing
+  /// forward pass (or an armed serve.run_batch fault point) fails the
+  /// batch's futures here and returns no results, leaving the worker
+  /// serving; worker_loop adds a last-ditch guard so no exception
   /// whatsoever can kill a worker thread. `worker` and `closed_at` (the
   /// batch-close timestamp the closing worker already read) exist for the
   /// trace-span layer, which records them only while telemetry tracing is
   /// armed.
-  void run_batch(std::vector<SchedRequest>& batch, std::size_t worker,
-                 std::chrono::steady_clock::time_point closed_at)
-      EPIM_EXCLUDES(mu_, stats_mu_);
+  BatchOutcome run_batch(std::vector<SchedRequest>& batch, std::size_t worker,
+                         std::chrono::steady_clock::time_point closed_at)
+      EPIM_EXCLUDES(mu_);
+  /// Count a finished batch into the interval stats, then fulfill its
+  /// futures -- in that order, so a stats() read after get() counts the
+  /// request.
+  void complete_batch_locked(std::vector<SchedRequest>& batch,
+                             BatchOutcome& outcome) EPIM_REQUIRES(mu_);
 
   /// Exclusively owned by construction and (post-join) by detach(); workers
   /// read it concurrently through the const forward_batch path. Not
@@ -290,7 +308,9 @@ class InferenceService {
   ServeConfig config_;  ///< immutable after construction
 
   // --- telemetry (resolved once in the constructor; every record below is
-  // relaxed atomics on cached pointers, legal under any of our locks) ---
+  // relaxed atomics on cached pointers, legal under mu_). These series are
+  // the cumulative export: instances with one label share them and they
+  // never reset, so the per-instance interval stats below are kept apart.
   std::string telemetry_label_;  ///< {model} label; immutable
   telemetry::Counter* m_requests_ = nullptr;
   telemetry::Counter* m_batches_ = nullptr;
@@ -308,9 +328,10 @@ class InferenceService {
   /// Lock-free like every Histogram; reset() by the stats reset.
   telemetry::Histogram interval_latency_;
 
-  /// Queue lock; ACQUIRED_BEFORE documents (and lockdep enforces) the only
-  /// legal nesting with the stats lock: mu_ -> stats_mu_, never reverse.
-  mutable Mutex mu_ EPIM_ACQUIRED_BEFORE(stats_mu_){"InferenceService::mu_"};
+  /// The service's one lock: queue, pool and interval stats. Nothing is
+  /// acquired under it (tests/test_lockdebug.cpp pins that it has no
+  /// outgoing edges).
+  mutable Mutex mu_{"InferenceService::mu_"};
   CondVar cv_;
   /// The SLA-aware dispatch core. A plain data structure guarded by mu_ --
   /// NOT a lock of its own -- so the fleet lock order gains no new node
@@ -331,26 +352,21 @@ class InferenceService {
   std::vector<char> worker_live_ EPIM_GUARDED_BY(mu_);
   int live_workers_ EPIM_GUARDED_BY(mu_) = 0;
 
-  mutable Mutex stats_mu_{"InferenceService::stats_mu_"};
-  /// Ring buffer of the last ServeConfig::latency_window request latencies.
-  std::vector<double> latencies_ms_ EPIM_GUARDED_BY(stats_mu_);
-  /// Ring write position once saturated.
-  std::size_t latency_next_ EPIM_GUARDED_BY(stats_mu_) = 0;
-  std::int64_t completed_ EPIM_GUARDED_BY(stats_mu_) = 0;
-  std::int64_t batches_ EPIM_GUARDED_BY(stats_mu_) = 0;
-  std::int64_t clip_events_ EPIM_GUARDED_BY(stats_mu_) = 0;
-  std::int64_t rejected_ EPIM_GUARDED_BY(stats_mu_) = 0;
-  std::int64_t deadline_misses_ EPIM_GUARDED_BY(stats_mu_) = 0;
+  // --- interval stats (zeroed by reset()) ---
+  std::int64_t completed_ EPIM_GUARDED_BY(mu_) = 0;
+  std::int64_t batches_ EPIM_GUARDED_BY(mu_) = 0;
+  std::int64_t clip_events_ EPIM_GUARDED_BY(mu_) = 0;
+  std::int64_t rejected_ EPIM_GUARDED_BY(mu_) = 0;
+  std::int64_t deadline_misses_ EPIM_GUARDED_BY(mu_) = 0;
   /// Per-class splits of completed_/deadline_misses_ (the scalars stay the
-  /// sums, so existing consumers are untouched).
+  /// sums).
   std::array<std::int64_t, kNumPriorities> completed_by_priority_
-      EPIM_GUARDED_BY(stats_mu_){};
+      EPIM_GUARDED_BY(mu_){};
   std::array<std::int64_t, kNumPriorities> deadline_misses_by_priority_
-      EPIM_GUARDED_BY(stats_mu_){};
-  bool saw_first_submit_ EPIM_GUARDED_BY(stats_mu_) = false;
-  std::chrono::steady_clock::time_point first_submit_
-      EPIM_GUARDED_BY(stats_mu_);
-  std::chrono::steady_clock::time_point last_done_ EPIM_GUARDED_BY(stats_mu_);
+      EPIM_GUARDED_BY(mu_){};
+  bool saw_first_submit_ EPIM_GUARDED_BY(mu_) = false;
+  std::chrono::steady_clock::time_point first_submit_ EPIM_GUARDED_BY(mu_);
+  std::chrono::steady_clock::time_point last_done_ EPIM_GUARDED_BY(mu_);
 
   /// Worker threads by slot, sized pool_cap_ (retired slots hold joined or
   /// default-constructed threads). Last member: joins before teardown.

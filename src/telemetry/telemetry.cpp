@@ -164,6 +164,10 @@ void Histogram::observe(double value) {
     }
   }
   counts_[slot].fetch_add(1, std::memory_order_relaxed);
+  add_to_sum(value);
+}
+
+void Histogram::add_to_sum(double value) {
   // Portable lock-free sum fold (atomic<double>::fetch_add is C++20 but
   // patchily optimized; the CAS loop is equivalent under contention here).
   double seen = sum_.load(std::memory_order_relaxed);
@@ -193,6 +197,16 @@ double Histogram::quantile(double q) const {
     if (cumulative >= rank) return bounds_[i];
   }
   return bounds_.back();  // overflow bucket: clamp to largest finite bound
+}
+
+void Histogram::merge(const Histogram& other) {
+  EPIM_CHECK(bounds_ == other.bounds_,
+             "histogram merge requires identical bucket bounds");
+  for (std::size_t i = 0; i <= bounds_.size(); ++i) {
+    counts_[i].fetch_add(other.counts_[i].load(std::memory_order_relaxed),
+                         std::memory_order_relaxed);
+  }
+  add_to_sum(other.sum());
 }
 
 void Histogram::reset() {

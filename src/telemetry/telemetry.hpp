@@ -182,11 +182,19 @@ class Histogram {
   /// overflow bucket clamps to the largest finite bound (a finite, still
   /// monotone answer beats reporting infinity).
   double quantile(double q) const;
+  /// Add every bucket count and the sum of `other` into this histogram.
+  /// Bucket sums are exact, so quantiles of the merge are those of one
+  /// histogram fed both sample sets. Throws InvalidArgument unless both
+  /// have the same bucket bounds. Reads `other` with relaxed loads: a
+  /// concurrent observe lands in the merge or not, never torn.
+  void merge(const Histogram& other);
   /// Zero every bucket and the sum (see the class comment for the race
   /// contract).
   void reset();
 
  private:
+  void add_to_sum(double value);
+
   std::vector<double> bounds_;  ///< immutable after construction
   /// bounds_.size() finite buckets + 1 overflow slot.
   std::unique_ptr<std::atomic<std::int64_t>[]> counts_;

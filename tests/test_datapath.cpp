@@ -263,8 +263,9 @@ TEST_P(EngineExactness, BitExactAgainstIntegerConv) {
   for (auto& v : img.data) {
     v = static_cast<std::uint32_t>(rng.uniform_int(0, (1 << c.act_bits) - 1));
   }
-  const IntOutput got = engine.run(img, c.act_bits);
-  EXPECT_EQ(engine.last_clip_count(), 0);
+  std::int64_t clips = 0;
+  const IntOutput got = engine.run(img, c.act_bits, &clips);
+  EXPECT_EQ(clips, 0);
   const auto want = int_reference_conv(wmat, spec, layer, img);
   ASSERT_EQ(got.data.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {

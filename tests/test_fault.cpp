@@ -632,8 +632,6 @@ TEST_F(RegistryLifecycle, ColdLoadOfOneModelDoesNotBlockAnother) {
     EXPECT_FALSE(
         reg.has_edge("ModelRegistry::mu_", "InferenceService::mu_"));
     EXPECT_FALSE(
-        reg.has_edge("ModelRegistry::mu_", "InferenceService::stats_mu_"));
-    EXPECT_FALSE(
         reg.has_edge("ModelRegistry::mu_", "fault::FaultRegistry::mu_"));
   }
 }

@@ -93,8 +93,9 @@ TEST(GoldenQuickstart, TrainDeployAccuracyPinned) {
   cfg.precision = PrecisionPlan::uniform(8, 10);
   DeployedModel chip = Pipeline(cfg).deploy(net, data.train);
   EXPECT_EQ(chip.total_crossbars(), 4);
-  EXPECT_DOUBLE_EQ(chip.evaluate(data.test), 0.62);
-  EXPECT_EQ(chip.last_clip_count(), 0);
+  std::int64_t clips = -1;
+  EXPECT_DOUBLE_EQ(chip.evaluate(data.test, &clips), 0.62);
+  EXPECT_EQ(clips, 0);
 }
 
 }  // namespace

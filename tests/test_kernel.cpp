@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <ostream>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -133,6 +134,13 @@ struct GoldenCase {
   double enable_prob;  ///< fraction of word lines enabled
 };
 
+// Without this, gtest prints the parameter as raw bytes, and the test name
+// would carry the load address of `name`, which changes with every run.
+void PrintTo(const GoldenCase& p, std::ostream* os) {
+  *os << p.name << ' ' << p.rows << 'x' << p.cols << " w" << p.weight_bits
+      << " a" << p.act_bits << " adc" << p.adc_bits;
+}
+
 class KernelGolden : public ::testing::TestWithParam<GoldenCase> {};
 
 TEST_P(KernelGolden, BitIdenticalToSeedImplementation) {
@@ -160,14 +168,16 @@ TEST_P(KernelGolden, BitIdenticalToSeedImplementation) {
           rng.uniform_int(0, (1 << p.act_bits) - 1));
       en[i] = rng.flip(p.enable_prob);
     }
-    const auto got = kernel.mvm(x, en, p.act_bits);
+    std::vector<std::int64_t> got;
+    std::int64_t clips = 0;
+    kernel.mvm(x, en, p.act_bits, got, &clips);
     const auto want = seed.mvm(x, en, p.act_bits);
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t c = 0; c < got.size(); ++c) {
       EXPECT_EQ(got[c], want[c]) << p.name << " trial " << trial
                                  << " col " << c;
     }
-    EXPECT_EQ(kernel.last_clip_count(), seed.last_clip_count())
+    EXPECT_EQ(clips, seed.last_clip_count())
         << p.name << " trial " << trial;
   }
 }

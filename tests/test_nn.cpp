@@ -221,8 +221,11 @@ TEST(ModelZoo, MacsOrdering) {
   EXPECT_GT(vgg16().total_macs(), resnet50().total_macs());
 }
 
+// gtest names each case after the raw bytes of its parameter, so the struct
+// has no padding: padding bytes are indeterminate and would rename the test
+// from one build to the next.
 struct ResNetCase {
-  int depth;
+  std::int64_t depth;
   std::int64_t convs;
 };
 

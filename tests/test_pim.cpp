@@ -101,11 +101,13 @@ TEST_P(CrossbarExactness, MatchesIntegerMatmul) {
         rng.uniform_int(0, (1 << p.act_bits) - 1));
     en[i] = rng.flip(0.8);
   }
-  const auto got = xbar.mvm(x, en, p.act_bits);
+  std::vector<std::int64_t> got;
+  std::int64_t clips = 0;
+  xbar.mvm(x, en, p.act_bits, got, &clips);
   const auto want = reference_mvm(w, x, en);
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t c = 0; c < got.size(); ++c) EXPECT_EQ(got[c], want[c]);
-  EXPECT_EQ(xbar.last_clip_count(), 0);
+  EXPECT_EQ(clips, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -140,8 +142,10 @@ TEST(Crossbar, StarvedAdcClips) {
   const auto w = random_weights(rng, 64, 4, 8);
   CrossbarArray xbar(cfg, 8, w);
   std::vector<std::uint32_t> x(64, 255);
-  const auto got = xbar.mvm(x, 8);
-  EXPECT_GT(xbar.last_clip_count(), 0);
+  std::vector<std::int64_t> got;
+  std::int64_t clips = 0;
+  xbar.mvm(x, std::vector<bool>(64, true), 8, got, &clips);
+  EXPECT_GT(clips, 0);
   const auto want = reference_mvm(w, x, std::vector<bool>(64, true));
   // Clipping must bias results; at least one column deviates.
   bool deviates = false;
@@ -159,8 +163,10 @@ TEST(Crossbar, DefaultAdcSufficientFor128Rows) {
   CrossbarArray xbar(cfg, 8, w);
   std::vector<std::uint32_t> x(128);
   for (auto& v : x) v = static_cast<std::uint32_t>(rng.uniform_int(0, 255));
-  const auto got = xbar.mvm(x, 8);
-  EXPECT_EQ(xbar.last_clip_count(), 0);
+  std::vector<std::int64_t> got;
+  std::int64_t clips = 0;
+  xbar.mvm(x, std::vector<bool>(128, true), 8, got, &clips);
+  EXPECT_EQ(clips, 0);
   const auto want = reference_mvm(w, x, std::vector<bool>(128, true));
   for (std::size_t c = 0; c < got.size(); ++c) EXPECT_EQ(got[c], want[c]);
 }

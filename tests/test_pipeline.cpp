@@ -225,11 +225,6 @@ TEST(PipelineConfig, RejectsNonPositiveServeLimits) {
   cfg.serve.flush_deadline_ms = -1.0;
   EXPECT_THROW(cfg.validate(), InvalidArgument);
   cfg = PipelineConfig{};
-  cfg.serve.latency_window = 0;
-  EXPECT_THROW(cfg.validate(), InvalidArgument);
-  cfg.serve.latency_window = -7;
-  EXPECT_THROW(cfg.validate(), InvalidArgument);
-  cfg = PipelineConfig{};
   cfg.serve.max_queue = -1;
   EXPECT_THROW(cfg.validate(), InvalidArgument);
   // Worker count: positive, and capped at the same 256 ceiling as the
@@ -247,7 +242,6 @@ TEST(PipelineConfig, RejectsNonPositiveServeLimits) {
   cfg.serve.max_batch = 1;
   cfg.serve.flush_deadline_ms = 0.01;
   cfg.serve.workers = 4;
-  cfg.serve.latency_window = 1;
   cfg.serve.max_queue = 0;  // 0 = unbounded, explicitly allowed
   EXPECT_NO_THROW(cfg.validate());
 }

@@ -509,6 +509,28 @@ TEST(ModelRegistry, SnapshotAggregatesAndResetStartsNewInterval) {
   EXPECT_EQ(registry.stats().requests, 1);
 }
 
+// Fleet and per-model percentiles come from one digest: with a single
+// resident model, the fleet merge of its interval histogram IS that
+// histogram, so the two snapshots must agree exactly.
+TEST(ModelRegistry, FleetPercentilesEqualTheOnlyResidentModels) {
+  ZooFixture& fx = ZooFixture::instance();
+  ModelRegistry registry;
+  registry.register_model("a", "v1", fx.deploy(0));
+  std::vector<std::future<InferenceResult>> pending;
+  for (std::int64_t i = 0; i < fx.data.test.size(); ++i) {
+    pending.push_back(registry.submit("a", "v1", fx.data.test.sample(i)));
+  }
+  for (auto& f : pending) (void)f.get();
+
+  const RegistrySnapshot snapshot = registry.stats();
+  ASSERT_EQ(snapshot.models.size(), 1u);
+  const ServiceStats& model = snapshot.models[0].stats;
+  ASSERT_EQ(model.requests, fx.data.test.size());
+  EXPECT_GT(snapshot.p50_latency_ms, 0.0);
+  EXPECT_EQ(snapshot.p50_latency_ms, model.p50_latency_ms);
+  EXPECT_EQ(snapshot.p99_latency_ms, model.p99_latency_ms);
+}
+
 // ---- artifact rot between registration and first materialization ----
 // register_artifact only probes the file; the bytes are trusted again at
 // every (re-)materialization, so a file deleted or corrupted in between

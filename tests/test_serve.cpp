@@ -150,7 +150,6 @@ PipelineConfig random_config(Rng& rng) {
   cfg.serve.max_batch = rng.uniform_int(1, 64);
   cfg.serve.flush_deadline_ms = rng.uniform(0.5, 5.0);
   cfg.serve.workers = rng.uniform_int(1, 8);
-  cfg.serve.latency_window = rng.uniform_int(1, 8192);
   cfg.serve.max_queue = rng.flip() ? 0 : rng.uniform_int(1, 2048);
   cfg.serve.max_workers =
       rng.flip() ? 0 : rng.uniform_int(cfg.serve.workers, 16);
@@ -186,8 +185,6 @@ TEST(ArtifactCompiled, PropertyRandomConfigsRoundTripByteIdentically) {
     EXPECT_EQ(loaded.config().serve.flush_deadline_ms,
               cfg.serve.flush_deadline_ms);
     EXPECT_EQ(loaded.config().serve.workers, cfg.serve.workers);
-    EXPECT_EQ(loaded.config().serve.latency_window,
-              cfg.serve.latency_window);
     EXPECT_EQ(loaded.config().serve.max_queue, cfg.serve.max_queue);
     EXPECT_EQ(loaded.config().serve.max_workers, cfg.serve.max_workers);
     EXPECT_EQ(loaded.config().serve.fairness_quantum,
@@ -232,14 +229,15 @@ struct DeployedFixture {
 void expect_bit_identical_logits(DeployedModel& a, DeployedModel& b,
                                  const Dataset& images) {
   for (std::int64_t i = 0; i < images.size(); ++i) {
-    const Tensor la = a.forward(images.sample(i));
-    const std::int64_t clips_a = a.last_clip_count();
-    const Tensor lb = b.forward(images.sample(i));
+    std::int64_t clips_a = 0;
+    std::int64_t clips_b = 0;
+    const Tensor la = a.forward(images.sample(i), &clips_a);
+    const Tensor lb = b.forward(images.sample(i), &clips_b);
     ASSERT_EQ(la.shape(), lb.shape());
     for (std::int64_t j = 0; j < la.numel(); ++j) {
       EXPECT_EQ(la.at(j), lb.at(j)) << "image " << i << " logit " << j;
     }
-    EXPECT_EQ(clips_a, b.last_clip_count()) << "image " << i;
+    EXPECT_EQ(clips_a, clips_b) << "image " << i;
   }
 }
 
@@ -453,67 +451,6 @@ TEST_F(CorruptionFixture, RejectsMissingFile) {
   }
 }
 
-// ---- I/O modes: mmap (lazy checksums) vs read() (eager, golden) ----
-
-/// Restore the process-default I/O mode after a test that switches it.
-struct IoModeGuard {
-  artifact::IoMode saved = artifact::io_mode();
-  ~IoModeGuard() { artifact::set_io_mode(saved); }
-};
-
-TEST(ArtifactIoMode, MmapAndReadPathsDecodeBitIdentically) {
-  IoModeGuard guard;
-  DeployedFixture& fx = DeployedFixture::instance();
-  PipelineConfig cfg;
-  cfg.precision = PrecisionPlan::uniform(6, 8);
-  DeployedModel chip = Pipeline(cfg).deploy(fx.net, fx.data.train);
-  const std::string path = temp_path("iomode_deployed.epim");
-  chip.save(path);
-
-  artifact::set_io_mode(artifact::IoMode::kRead);
-  DeployedModel via_read = Pipeline::load_deployed(path);
-  artifact::set_io_mode(artifact::IoMode::kMmap);
-  DeployedModel via_mmap = Pipeline::load_deployed(path);
-  expect_bit_identical_logits(via_read, via_mmap, fx.data.test);
-  EXPECT_EQ(via_read.evaluate(fx.data.test),
-            via_mmap.evaluate(fx.data.test));
-
-  // Compiled artifacts ride the same container reader: both modes decode a
-  // model with identical assignment and estimator numbers.
-  const std::string cpath = temp_path("iomode_compiled.epim");
-  Pipeline{PipelineConfig{}}.compile(mini_resnet()).save(cpath);
-  artifact::set_io_mode(artifact::IoMode::kRead);
-  const CompiledModel c_read = Pipeline::load(cpath);
-  artifact::set_io_mode(artifact::IoMode::kMmap);
-  const CompiledModel c_mmap = Pipeline::load(cpath);
-  expect_same_assignment(c_read.assignment(), c_mmap.assignment());
-  expect_same_evaluation(c_read.estimate(), c_mmap.estimate());
-  std::remove(path.c_str());
-  std::remove(cpath.c_str());
-}
-
-TEST(ArtifactIoMode, MmapLazyChecksumStillRejectsBitFlips) {
-  IoModeGuard guard;
-  artifact::set_io_mode(artifact::IoMode::kMmap);
-  const std::string good_path = temp_path("iomode_corrupt_base.epim");
-  const std::string bad_path = temp_path("iomode_corrupt_case.epim");
-  Pipeline{PipelineConfig{}}.compile(mini_resnet()).save(good_path);
-  const std::vector<char> bytes = slurp(good_path);
-  // Flip one bit in the middle and one near the end (different sections):
-  // the mmap path defers each section's checksum to its first decode touch,
-  // but a flipped payload bit must still surface as the pinned kErrChecksum
-  // before any of that section's fields reach a caller.
-  for (const std::size_t victim : {bytes.size() / 2, bytes.size() - 2}) {
-    SCOPED_TRACE("flip at " + std::to_string(victim));
-    std::vector<char> corrupt = bytes;
-    corrupt[victim] = static_cast<char>(corrupt[victim] ^ 0x40);
-    dump(bad_path, corrupt);
-    expect_load_error(bad_path, artifact::kErrChecksum);
-  }
-  std::remove(good_path.c_str());
-  std::remove(bad_path.c_str());
-}
-
 // Both façade loaders, against both bad-path shapes, with the messages
 // pinned: a nonexistent path reports kErrCannotOpen and a directory reports
 // kErrNotFile (NOT a misleading "truncated artifact", which is what naively
@@ -598,8 +535,9 @@ TEST(InferenceService, ResultsBitIdenticalToDirectRuntime) {
   std::vector<Tensor> expected;
   std::vector<std::int64_t> expected_clips;
   for (std::int64_t i = 0; i < fx.data.test.size(); ++i) {
-    expected.push_back(reference.forward(fx.data.test.sample(i)));
-    expected_clips.push_back(reference.last_clip_count());
+    std::int64_t clips = 0;
+    expected.push_back(reference.forward(fx.data.test.sample(i), &clips));
+    expected_clips.push_back(clips);
   }
 
   // The full scheduler grid: pool threads x continuous-batching workers x
@@ -749,38 +687,6 @@ TEST(InferenceService, SubmitBatchRejectsEmptyBurst) {
   EXPECT_EQ(service.submit(fx.data.test.sample(0)).get().logits.numel(), 4);
 }
 
-TEST(InferenceService, LatencyWindowSizeComesFromServeConfig) {
-  DeployedFixture& fx = DeployedFixture::instance();
-  ServeConfig scfg;
-  scfg.max_batch = 1;  // one completion per request: window fills request-wise
-  scfg.flush_deadline_ms = 0.5;
-  scfg.latency_window = 4;
-  InferenceService service =
-      std::move(Pipeline{PipelineConfig{}}.deploy(fx.net, fx.data.train))
-          .serve(scfg);
-
-  for (std::int64_t i = 0; i < 3; ++i) {
-    (void)service.submit(fx.data.test.sample(i)).get();
-  }
-  // Below the window: every latency is retained.
-  EXPECT_EQ(service.recent_latencies_ms().size(), 3u);
-  for (std::int64_t i = 3; i < 10; ++i) {
-    (void)service.submit(fx.data.test.sample(i)).get();
-  }
-  // Saturated: the ring holds exactly latency_window entries, so the
-  // percentile digest covers the most recent 4 requests only.
-  EXPECT_EQ(service.recent_latencies_ms().size(), 4u);
-  EXPECT_EQ(service.stats().requests, 10);
-
-  // The window size is validated like every other serve knob.
-  ServeConfig bad;
-  bad.latency_window = 0;
-  EXPECT_THROW(InferenceService(
-                   Pipeline{PipelineConfig{}}.deploy(fx.net, fx.data.train),
-                   bad),
-               InvalidArgument);
-}
-
 TEST(InferenceService, ResetStartsAFreshStatsInterval) {
   DeployedFixture& fx = DeployedFixture::instance();
   InferenceService service =
@@ -802,7 +708,7 @@ TEST(InferenceService, ResetStartsAFreshStatsInterval) {
   EXPECT_EQ(zeroed.items_per_sec, 0.0);
   EXPECT_EQ(zeroed.p50_latency_ms, 0.0);
   EXPECT_EQ(zeroed.p99_latency_ms, 0.0);
-  EXPECT_EQ(service.recent_latencies_ms().size(), 0u);
+  EXPECT_EQ(service.interval_latency().count(), 0);
 
   // ...and the next interval counts from zero with a fresh throughput
   // window, exactly like a brand-new service.
@@ -942,41 +848,6 @@ TEST(ServiceStats, ItemsRateFallsBackToOneTickOnZeroWall) {
           .serve();
   (void)service.submit(fx.data.test.sample(0)).get();
   EXPECT_GT(service.stats().items_per_sec, 0.0);
-}
-
-TEST(InferenceService, RecentLatenciesAreChronological) {
-  DeployedFixture& fx = DeployedFixture::instance();
-  ServeConfig scfg;
-  scfg.max_batch = 1;  // one completion per request
-  scfg.flush_deadline_ms = 0.5;
-  scfg.latency_window = 4;
-  InferenceService service =
-      std::move(Pipeline{PipelineConfig{}}.deploy(fx.net, fx.data.train))
-          .serve(scfg);
-
-  // Await each request before the next submit, snapshotting the window
-  // after every completion: chronological (oldest-first) order makes each
-  // unsaturated snapshot a prefix of the next, and each saturated snapshot
-  // the previous one shifted left by exactly one. Raw ring order would
-  // return the newest entry at the overwrite position instead.
-  std::vector<std::vector<double>> snaps;
-  for (std::int64_t i = 0; i < 7; ++i) {
-    (void)service.submit(fx.data.test.sample(i)).get();
-    snaps.push_back(service.recent_latencies_ms());
-  }
-  for (std::size_t k = 0; k < snaps.size(); ++k) {
-    ASSERT_EQ(snaps[k].size(), std::min<std::size_t>(k + 1, 4)) << "k=" << k;
-  }
-  for (std::size_t k = 1; k < 4; ++k) {  // filling: append-only
-    for (std::size_t i = 0; i < snaps[k - 1].size(); ++i) {
-      EXPECT_EQ(snaps[k][i], snaps[k - 1][i]) << "k=" << k << " i=" << i;
-    }
-  }
-  for (std::size_t k = 4; k < snaps.size(); ++k) {  // saturated: slide by 1
-    for (std::size_t i = 0; i + 1 < 4; ++i) {
-      EXPECT_EQ(snaps[k][i], snaps[k - 1][i + 1]) << "k=" << k << " i=" << i;
-    }
-  }
 }
 
 TEST(InferenceService, DetachDrainsInFlightBatchesAcrossWorkers) {
@@ -1166,8 +1037,9 @@ TEST(SchedulerService, ResultsBitIdenticalAcrossPriorityClientWorkerGrid) {
   std::vector<Tensor> expected;
   std::vector<std::int64_t> expected_clips;
   for (std::int64_t i = 0; i < fx.data.test.size(); ++i) {
-    expected.push_back(reference.forward(fx.data.test.sample(i)));
-    expected_clips.push_back(reference.last_clip_count());
+    std::int64_t clips = 0;
+    expected.push_back(reference.forward(fx.data.test.sample(i), &clips));
+    expected_clips.push_back(clips);
   }
 
   constexpr Priority kClasses[] = {Priority::kInteractive, Priority::kNormal,

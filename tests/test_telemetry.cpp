@@ -118,6 +118,46 @@ TEST(TelemetryHistogram, ResetZeroesEverything) {
   EXPECT_EQ(h.quantile(0.99), 0.0);
 }
 
+TEST(TelemetryHistogram, MergeEqualsOneHistogramFedBothSampleSets) {
+  HistogramOptions opt;
+  opt.first_bound = 1.0;
+  opt.buckets = 4;  // bounds 1, 2, 4, 8, then overflow
+  const std::vector<double> first = {0.5, 1.0, 3.0, 3.5, 100.0};
+  const std::vector<double> second = {2.0, 7.0, 8.0, 9.0, 0.25, 6.0};
+  Histogram a(opt), b(opt), both(opt);
+  for (const double v : first) {
+    a.observe(v);
+    both.observe(v);
+  }
+  for (const double v : second) {
+    b.observe(v);
+    both.observe(v);
+  }
+  a.merge(b);
+  for (int i = 0; i < a.buckets(); ++i) {
+    EXPECT_EQ(a.bucket_count(i), both.bucket_count(i)) << "bucket " << i;
+  }
+  EXPECT_EQ(a.overflow_count(), both.overflow_count());
+  EXPECT_EQ(a.overflow_count(), 2);
+  EXPECT_EQ(a.count(), both.count());
+  EXPECT_EQ(a.sum(), both.sum());
+  for (const double q : {0.0, 0.25, 0.5, 0.9, 0.99, 1.0}) {
+    EXPECT_EQ(a.quantile(q), both.quantile(q)) << "q=" << q;
+  }
+  // The merged-from histogram is only read.
+  EXPECT_EQ(b.count(), static_cast<std::int64_t>(second.size()));
+
+  // Different bucket bounds cannot be summed bucket by bucket.
+  HistogramOptions shifted = opt;
+  shifted.first_bound = 2.0;
+  HistogramOptions longer = opt;
+  longer.buckets = 5;
+  Histogram other_bounds(shifted), more_buckets(longer);
+  EXPECT_THROW(a.merge(other_bounds), InvalidArgument);
+  EXPECT_THROW(a.merge(more_buckets), InvalidArgument);
+  EXPECT_EQ(a.count(), both.count());  // a failed merge changes nothing
+}
+
 TEST(TelemetryHistogram, ConcurrentRecordingLosesNoCounts) {
   constexpr int kThreads = 8;
   constexpr int kPerThread = 20000;
@@ -444,15 +484,15 @@ TEST(TelemetryServe, StatsPercentilesComeFromIntervalHistogram) {
   EXPECT_EQ(stats.requests, 8);
   EXPECT_GT(stats.p50_latency_ms, 0.0);
   EXPECT_LE(stats.p50_latency_ms, stats.p99_latency_ms);
-  // The recent-latency window (exact samples) survives the histogram
-  // switch; the histogram answers with a bucket UPPER bound, so it is >=
-  // the exact median.
-  EXPECT_EQ(service.recent_latencies_ms().size(), 8u);
+  // The digest is the interval histogram, which counted every request.
+  EXPECT_EQ(service.interval_latency().count(), 8);
+  EXPECT_EQ(stats.p50_latency_ms, service.interval_latency().quantile(0.50));
+  EXPECT_EQ(stats.p99_latency_ms, service.interval_latency().quantile(0.99));
   service.reset();
   const ServiceStats after = service.stats();
   EXPECT_EQ(after.p50_latency_ms, 0.0);
   EXPECT_EQ(after.p99_latency_ms, 0.0);
-  EXPECT_TRUE(service.recent_latencies_ms().empty());
+  EXPECT_EQ(service.interval_latency().count(), 0);
 }
 
 TEST(TelemetryRegistryIntegration, LifecycleSeriesFollowTheMachine) {
@@ -534,6 +574,8 @@ TEST(TelemetryLockdep, RegistryMutexIsALeaf) {
   registry.submit("leaf", "v1", tiny.data.test.sample(0)).get();
   registry.submit("leaf", "v2", tiny.data.test.sample(0)).get();  // evicts v1
   (void)registry.stats();
+  Router router(registry);
+  (void)router.route("leaf@v2");
   fault::arm_nth("telemetry.leaf.point", 1000);
   (void)fault::should_fire("telemetry.leaf.point");
   fault::disarm("telemetry.leaf.point");
@@ -545,18 +587,17 @@ TEST(TelemetryLockdep, RegistryMutexIsALeaf) {
   // before those locks, recording is lock-free.
   EXPECT_FALSE(graph.has_edge("ModelRegistry::mu_", telemetry_mu));
   EXPECT_FALSE(graph.has_edge("InferenceService::mu_", telemetry_mu));
-  EXPECT_FALSE(graph.has_edge("InferenceService::stats_mu_", telemetry_mu));
+  EXPECT_FALSE(graph.has_edge("Router::mu_", telemetry_mu));
   EXPECT_FALSE(graph.has_edge("fault::FaultRegistry::mu_", telemetry_mu));
   EXPECT_FALSE(graph.has_edge("parallel::ThreadPool::mutex_", telemetry_mu));
   // And NOTHING is acquired under it (leaf): render_text reads atomics only.
   EXPECT_FALSE(graph.has_edge(telemetry_mu, "ModelRegistry::mu_"));
   EXPECT_FALSE(graph.has_edge(telemetry_mu, "InferenceService::mu_"));
-  EXPECT_FALSE(graph.has_edge(telemetry_mu, "InferenceService::stats_mu_"));
+  EXPECT_FALSE(graph.has_edge(telemetry_mu, "Router::mu_"));
   EXPECT_FALSE(graph.has_edge(telemetry_mu, "fault::FaultRegistry::mu_"));
   EXPECT_FALSE(graph.has_edge(telemetry_mu, "parallel::ThreadPool::mutex_"));
-  // Positive control: the graph is live (the service's one legal edge).
-  EXPECT_TRUE(graph.has_edge("InferenceService::mu_",
-                             "InferenceService::stats_mu_"));
+  // Positive control: the graph is live (the router's one legal edge).
+  EXPECT_TRUE(graph.has_edge("Router::mu_", "ModelRegistry::mu_"));
 }
 
 }  // namespace
