@@ -413,7 +413,6 @@ std::vector<Record> run_suite() {
       std::thread feeder([&] {
         SubmitOptions bulk;
         bulk.priority = sched_on ? Priority::kBulk : Priority::kNormal;
-        if (sched_on) bulk.client_id = "background";
         while (!stop.load(std::memory_order_relaxed)) {
           if (service.stats().queued < 64) {
             std::vector<Tensor> burst(stream.begin(), stream.begin() + 16);
@@ -430,7 +429,6 @@ std::vector<Record> run_suite() {
       }
       SubmitOptions fg;
       fg.priority = sched_on ? Priority::kInteractive : Priority::kNormal;
-      if (sched_on) fg.client_id = "foreground";
       std::vector<double> latencies;
       for (int i = 0; i < 200; ++i) {
         const auto t0 = Clock::now();

@@ -43,8 +43,6 @@ void validate_serve(const ServeConfig& serve) {
              "serve.max_workers must be 0 (= workers, fixed pool) or in "
              "[workers, " +
                  std::to_string(detail::kMaxThreads) + "]");
-  EPIM_CHECK(serve.fairness_quantum >= 1,
-             "serve.fairness_quantum must be positive");
 }
 
 void validate_design(const DesignConfig& design) {

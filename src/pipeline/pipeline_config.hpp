@@ -154,11 +154,6 @@ struct ServeConfig {
   /// never below `workers` -- as extra workers sit idle. 0 (the default)
   /// means max_workers == workers: a fixed pool, the historical behaviour.
   int max_workers = 0;
-  /// Scheduler fairness knob (must be positive), in requests. Doubles as
-  /// the deficit-round-robin top-up per client per ring visit and as the
-  /// anti-starvation bound: a non-empty priority class passed over this
-  /// many consecutive batch selections gets the next batch's first slot.
-  int fairness_quantum = 4;
   /// When true (the default), a submit_batch burst larger than max_batch is
   /// re-sliced: enqueued whole, then closed as ceil(queued/idle-workers)
   /// slices by concurrent workers instead of draining as serial max_batch

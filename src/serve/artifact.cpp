@@ -406,10 +406,9 @@ void put_pipeline_config(Writer& w, const PipelineConfig& c) {
   w.i32(c.serve.workers);
   w.i32(c.serve.max_queue);
   // Scheduler knobs (SLA-aware scheduling core). This field order is the
-  // schema v5 layout; the codec is positional, so a payload of any other
+  // schema v6 layout; the codec is positional, so a payload of any other
   // version cannot be decoded and is rejected by the version check.
   w.i32(c.serve.max_workers);
-  w.i32(c.serve.fairness_quantum);
   w.boolean(c.serve.reslice_bursts);
   w.str(c.anchors.model);
   w.f64(c.anchors.conv_fp32);
@@ -451,7 +450,6 @@ PipelineConfig get_pipeline_config(Reader& r) {
   c.serve.max_queue = r.i32();
   // Scheduler knobs (see the writer's matching comment).
   c.serve.max_workers = r.i32();
-  c.serve.fairness_quantum = r.i32();
   c.serve.reslice_bursts = r.boolean();
   c.anchors.model = r.str();
   c.anchors.conv_fp32 = r.f64();

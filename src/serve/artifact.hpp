@@ -47,10 +47,11 @@ namespace artifact {
 /// either -- they fail with a clean version error, never a misparse).
 /// History: v1 = first format; v2 = ServeConfig gained a latency-window
 /// size and max_queue; v3 = ServeConfig gained workers (continuous-batching
-/// worker count); v4 = ServeConfig gained max_workers/fairness_quantum/
+/// worker count); v4 = ServeConfig gained max_workers/the DRR quantum/
 /// reslice_bursts (SLA-aware scheduling core); v5 = ServeConfig dropped the
-/// latency-window size (the latency digest is the interval histogram).
-inline constexpr std::uint32_t kSchemaVersion = 5;
+/// latency-window size (the latency digest is the interval histogram); v6 =
+/// ServeConfig dropped the DRR quantum (one FIFO per priority class).
+inline constexpr std::uint32_t kSchemaVersion = 6;
 
 /// Artifact kinds stored in the header.
 enum class Kind : std::uint32_t {

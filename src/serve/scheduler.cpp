@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/check.hpp"
-
 namespace epim {
 
 const char* priority_name(Priority priority) {
@@ -19,128 +17,72 @@ const char* priority_name(Priority priority) {
   return "normal";  // unreachable for in-range enums
 }
 
-Scheduler::Scheduler(int fairness_quantum)
-    : fairness_quantum_(fairness_quantum) {
-  EPIM_CHECK(fairness_quantum >= 1,
-             "scheduler fairness_quantum must be positive");
-}
-
-Scheduler::ClientQueue& Scheduler::client_queue(ClassState& cls,
-                                                const std::string& id) {
-  for (ClientQueue& client : cls.clients) {
-    if (client.id == id) return client;
-  }
-  // Bound the table: a stream of fresh client ids folds into the shared
-  // anonymous bucket instead of growing the ring without limit. The
-  // anonymous bucket itself is always creatable (it is the fold target).
-  if (!id.empty() && cls.clients.size() >= kMaxClientQueues) {
-    return client_queue(cls, std::string());
-  }
-  cls.clients.push_back(ClientQueue{});
-  cls.clients.back().id = id;
-  return cls.clients.back();
-}
-
-void Scheduler::enqueue(SchedRequest request, const std::string& client) {
-  ClassState& cls = classes_[static_cast<std::size_t>(request.priority)];
+void Scheduler::enqueue(SchedRequest request) {
   if (request.no_hold) ++no_hold_;
-  client_queue(cls, client).queue.push_back(std::move(request));
-  ++cls.total;
-  ++total_;
+  queues_[static_cast<std::size_t>(request.priority)].push_back(
+      std::move(request));
 }
 
 std::chrono::steady_clock::time_point Scheduler::oldest_enqueued() const {
-  // Each (class, client) deque is FIFO, so its front is its oldest entry;
-  // the global oldest is the min over fronts.
+  // Each class queue is FIFO, so its front is its oldest entry; the global
+  // oldest is the min over fronts.
   auto oldest = std::chrono::steady_clock::time_point::max();
-  for (const ClassState& cls : classes_) {
-    for (const ClientQueue& client : cls.clients) {
-      if (!client.queue.empty()) {
-        oldest = std::min(oldest, client.queue.front().enqueued);
-      }
-    }
+  for (const std::deque<SchedRequest>& queue : queues_) {
+    if (!queue.empty()) oldest = std::min(oldest, queue.front().enqueued);
   }
   return oldest;
 }
 
 std::chrono::steady_clock::time_point Scheduler::soonest_deadline() const {
-  // Deadlines are per-request (not monotone within a queue): scan them all,
-  // exactly as the pre-scheduler FIFO loop scanned its deque.
+  // Deadlines are per-request (not monotone within a queue): scan them all.
   auto soonest = std::chrono::steady_clock::time_point::max();
-  for (const ClassState& cls : classes_) {
-    for (const ClientQueue& client : cls.clients) {
-      for (const SchedRequest& request : client.queue) {
-        soonest = std::min(soonest, request.deadline);
-      }
+  for (const std::deque<SchedRequest>& queue : queues_) {
+    for (const SchedRequest& request : queue) {
+      soonest = std::min(soonest, request.deadline);
     }
   }
   return soonest;
 }
 
-std::size_t Scheduler::take_from_class(ClassState& cls, std::size_t budget,
-                                       std::vector<SchedRequest>& out) {
-  std::size_t taken = 0;
-  while (taken < budget && cls.total > 0) {
-    if (cls.cursor >= cls.clients.size()) cls.cursor = 0;
-    ClientQueue& client = cls.clients[cls.cursor];
-    if (client.queue.empty()) {
-      // Drained on a previous call; drop the entry (its banked deficit
-      // with it -- credit never outlives the backlog that earned it).
-      cls.clients.erase(cls.clients.begin() +
-                        static_cast<std::ptrdiff_t>(cls.cursor));
-      continue;
-    }
-    if (client.deficit <= 0) client.deficit += fairness_quantum_;
-    while (taken < budget && client.deficit > 0 && !client.queue.empty()) {
-      if (client.queue.front().no_hold) --no_hold_;
-      out.push_back(std::move(client.queue.front()));
-      client.queue.pop_front();
-      --client.deficit;
-      --cls.total;
-      --total_;
-      ++taken;
-    }
-    if (client.queue.empty()) {
-      cls.clients.erase(cls.clients.begin() +
-                        static_cast<std::ptrdiff_t>(cls.cursor));
-    } else if (client.deficit <= 0) {
-      ++cls.cursor;  // credit spent: next client's turn
-    }
-    // Budget exhausted with credit left: cursor stays put, so the next
-    // select() resumes this client's turn -- classic DRR continuation.
+std::size_t Scheduler::take(std::size_t p, std::size_t budget,
+                            std::vector<SchedRequest>& out) {
+  std::deque<SchedRequest>& queue = queues_[p];
+  const std::size_t taken = std::min(budget, queue.size());
+  for (std::size_t i = 0; i < taken; ++i) {
+    if (queue.front().no_hold) --no_hold_;
+    out.push_back(std::move(queue.front()));
+    queue.pop_front();
   }
   return taken;
 }
 
 std::size_t Scheduler::select(std::size_t n, std::vector<SchedRequest>& out) {
-  if (n == 0 || total_ == 0) return 0;
+  if (n == 0 || empty()) return 0;
   std::size_t taken = 0;
   std::size_t contributed[kNumPriorities] = {0, 0, 0};
   // Anti-starvation reservation first: any class that sat non-empty through
-  // fairness_quantum_ selections contributing nothing gets one slot BEFORE
+  // kStarvationBound selections contributing nothing gets one slot BEFORE
   // the strict-priority fill, so bulk progress is bounded by batch closes,
   // not by interactive arrival gaps.
   for (std::size_t p = 0; p < kNumPriorities && taken < n; ++p) {
-    ClassState& cls = classes_[p];
-    if (cls.total > 0 && cls.passed_over >= fairness_quantum_) {
-      const std::size_t got = take_from_class(cls, 1, out);
+    if (!queues_[p].empty() && passed_over_[p] >= kStarvationBound) {
+      const std::size_t got = take(p, 1, out);
       taken += got;
       contributed[p] += got;
-      cls.passed_over = 0;
+      passed_over_[p] = 0;
     }
   }
   // Strict-priority fill of the remaining slots.
   for (std::size_t p = 0; p < kNumPriorities && taken < n; ++p) {
-    const std::size_t got = take_from_class(classes_[p], n - taken, out);
+    const std::size_t got = take(p, n - taken, out);
     taken += got;
     contributed[p] += got;
   }
   for (std::size_t p = 0; p < kNumPriorities; ++p) {
-    ClassState& cls = classes_[p];
     if (contributed[p] > 0) {
-      cls.passed_over = 0;
-    } else if (cls.total > 0) {
-      ++cls.passed_over;
+      passed_over_[p] = 0;
+    } else if (!queues_[p].empty()) {
+      ++passed_over_[p];
     }
   }
   return taken;
@@ -149,28 +91,15 @@ std::size_t Scheduler::select(std::size_t n, std::vector<SchedRequest>& out) {
 std::size_t Scheduler::shed_expired(std::chrono::steady_clock::time_point now,
                                     std::vector<SchedRequest>& out) {
   std::size_t shed = 0;
-  for (ClassState& cls : classes_) {
-    for (std::size_t c = 0; c < cls.clients.size();) {
-      std::deque<SchedRequest>& queue = cls.clients[c].queue;
-      for (auto it = queue.begin(); it != queue.end();) {
-        if (it->deadline <= now) {
-          if (it->no_hold) --no_hold_;
-          out.push_back(std::move(*it));
-          it = queue.erase(it);
-          --cls.total;
-          --total_;
-          ++shed;
-        } else {
-          ++it;
-        }
-      }
-      if (queue.empty()) {
-        // Keep the ring cursor aimed at the same NEXT client.
-        if (cls.cursor > c) --cls.cursor;
-        cls.clients.erase(cls.clients.begin() +
-                          static_cast<std::ptrdiff_t>(c));
+  for (std::deque<SchedRequest>& queue : queues_) {
+    for (auto it = queue.begin(); it != queue.end();) {
+      if (it->deadline <= now) {
+        if (it->no_hold) --no_hold_;
+        out.push_back(std::move(*it));
+        it = queue.erase(it);
+        ++shed;
       } else {
-        ++c;
+        ++it;
       }
     }
   }

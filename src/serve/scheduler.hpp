@@ -1,31 +1,20 @@
 // SLA-aware request scheduler backing InferenceService's dispatch core.
 //
-// The service used to drain one FIFO std::deque<Request>: a latency-critical
-// request queued behind any bulk burst, and whichever client submitted
-// fastest owned the queue. The Scheduler replaces that deque with a
-// three-level policy, applied in order at every batch close:
+// The Scheduler keeps one FIFO per priority class, so a latency-critical
+// request never queues behind a bulk burst, and applies a two-level policy
+// at every batch close:
 //
 //   1. PRIORITY  -- strict priority across the three classes
 //                   (kInteractive > kNormal > kBulk), with an
 //                   anti-starvation reservation: a class that sat non-empty
-//                   through `fairness_quantum` consecutive selections while
+//                   through kStarvationBound consecutive selections while
 //                   contributing nothing gets the FIRST slot of the next
 //                   batch, so bulk work is delayed at most a bounded number
 //                   of batch closes, never forever.
-//   2. FAIRNESS  -- deficit round robin across clients within a class
-//                   (SubmitOptions::client_id): each client's deficit is
-//                   topped up by `fairness_quantum` requests when the ring
-//                   cursor visits it and drawn down one per selected
-//                   request, so a chatty client cannot lock out a quiet one
-//                   and a quiet client cannot bank unbounded credit. The
-//                   client table is bounded (kMaxClientQueues): clients past
-//                   the bound share the anonymous "" bucket, so an
-//                   adversarial client-id stream cannot grow memory.
-//   3. FIFO      -- within one (class, client) queue, strict submission
-//                   order.
+//   2. FIFO      -- within one class, strict submission order.
 //
-// With a single client and a single class the whole policy degenerates to
-// the original FIFO queue -- pinned by tests/test_scheduler.cpp.
+// With a single class the whole policy degenerates to one FIFO queue --
+// pinned by tests/test_scheduler.cpp.
 //
 // Burst re-slicing rides on the per-request `no_hold` flag: a reslice-
 // eligible burst (larger than max_batch, reslice_bursts on) is enqueued
@@ -44,8 +33,8 @@
 //
 // Determinism contract: the scheduler only picks WHICH queued requests a
 // worker closes next. Results stay bit-identical to direct forward_batch at
-// any priority/client/worker mix -- scheduling may change completion order,
-// never values (tests/test_serve.cpp pins the full grid).
+// any priority/worker mix -- scheduling may change completion order, never
+// values (tests/test_serve.cpp pins the full grid).
 #pragma once
 
 #include <chrono>
@@ -95,10 +84,8 @@ struct SubmitOptions {
   /// Scheduling class (strict priority with a bounded anti-starvation
   /// reservation; see Priority).
   Priority priority = Priority::kNormal;
-  /// Fairness bucket for deficit-round-robin selection within the class.
-  /// Empty (the default) is the shared anonymous bucket; distinct ids get
-  /// distinct DRR queues up to Scheduler::kMaxClientQueues, beyond which
-  /// new ids fold back into the anonymous bucket.
+  /// Ignored: requests of one class are served FIFO whatever their client.
+  /// Kept for source compatibility (epimbench/bench_epim.cpp sets it).
   std::string client_id;
 };
 
@@ -121,26 +108,22 @@ struct SchedRequest {
 
 class Scheduler {
  public:
-  /// Distinct named client queues per priority class. The 65th client of a
-  /// class shares the anonymous "" bucket -- fairness degrades gracefully
-  /// instead of memory growing with attacker-chosen ids.
-  static constexpr std::size_t kMaxClientQueues = 64;
+  /// Anti-starvation bound: consecutive empty-handed selections a non-empty
+  /// class sits through before the next select() reserves it a slot.
+  static constexpr int kStarvationBound = 4;
 
-  /// `fairness_quantum` is both the DRR top-up (requests per client per
-  /// ring visit) and the anti-starvation bound (consecutive empty-handed
-  /// selections before a class gets a reserved slot). Validated >= 1 by
-  /// validate_serve before the service constructs one.
-  explicit Scheduler(int fairness_quantum);
+  /// Queue `request` at the back of its priority class.
+  void enqueue(SchedRequest request);
 
-  /// Queue `request` under (request.priority, client). FIFO within the
-  /// (class, client) queue.
-  void enqueue(SchedRequest request, const std::string& client);
-
-  std::size_t size() const { return total_; }
-  std::size_t size(Priority priority) const {
-    return classes_[static_cast<std::size_t>(priority)].total;
+  std::size_t size() const {
+    std::size_t n = 0;
+    for (const std::deque<SchedRequest>& queue : queues_) n += queue.size();
+    return n;
   }
-  bool empty() const { return total_ == 0; }
+  std::size_t size(Priority priority) const {
+    return queues_[static_cast<std::size_t>(priority)].size();
+  }
+  bool empty() const { return size() == 0; }
   /// Queued requests carrying the no_hold flag (reslice-eligible bursts).
   std::size_t no_hold_count() const { return no_hold_; }
 
@@ -151,9 +134,9 @@ class Scheduler {
   /// nothing queued carries one (the shed wake-up anchor).
   std::chrono::steady_clock::time_point soonest_deadline() const;
 
-  /// Move up to `n` requests into `out` (appended) by priority -> DRR
-  /// fairness -> FIFO. Returns the number selected. Selection never
-  /// inspects request payloads, so it cannot affect results -- only order.
+  /// Move up to `n` requests into `out` (appended) by priority -> FIFO.
+  /// Returns the number selected. Selection never inspects request
+  /// payloads, so it cannot affect results -- only order.
   std::size_t select(std::size_t n, std::vector<SchedRequest>& out);
 
   /// Remove every queued request whose deadline has passed, appending them
@@ -163,44 +146,15 @@ class Scheduler {
                            std::vector<SchedRequest>& out);
 
  private:
-  struct ClientQueue {
-    ClientQueue() = default;
-    // Explicitly move-only: deque<SchedRequest>'s copy constructor is
-    // declared (only ill-formed on instantiation, since promises cannot be
-    // copied), so without this vector realloc would select the copy via
-    // move_if_noexcept and fail to compile.
-    ClientQueue(const ClientQueue&) = delete;
-    ClientQueue& operator=(const ClientQueue&) = delete;
-    ClientQueue(ClientQueue&&) = default;
-    ClientQueue& operator=(ClientQueue&&) = default;
+  /// Pop up to `budget` requests from the front of class `p`.
+  std::size_t take(std::size_t p, std::size_t budget,
+                   std::vector<SchedRequest>& out);
 
-    std::string id;
-    std::deque<SchedRequest> queue;
-    /// DRR credit, in requests. Topped up by fairness_quantum_ when the
-    /// ring cursor lands here with no credit left; drawn down one per
-    /// selected request; discarded when the queue empties.
-    int deficit = 0;
-  };
-  struct ClassState {
-    /// Active clients in ring order. Bounded by kMaxClientQueues (+1 for
-    /// the anonymous bucket); entries are erased as their queues empty.
-    std::vector<ClientQueue> clients;
-    std::size_t cursor = 0;  ///< DRR ring position
-    std::size_t total = 0;   ///< queued requests across all clients
-    /// Consecutive select() calls this class sat non-empty but contributed
-    /// nothing (starved behind higher classes). At fairness_quantum_ the
-    /// next select() reserves its first slot for this class.
-    int passed_over = 0;
-  };
-
-  ClientQueue& client_queue(ClassState& cls, const std::string& id);
-  /// DRR selection of up to `budget` requests from one class.
-  std::size_t take_from_class(ClassState& cls, std::size_t budget,
-                              std::vector<SchedRequest>& out);
-
-  int fairness_quantum_;
-  ClassState classes_[kNumPriorities];
-  std::size_t total_ = 0;
+  std::deque<SchedRequest> queues_[kNumPriorities];
+  /// Consecutive select() calls each class sat non-empty but contributed
+  /// nothing (starved behind higher classes). At kStarvationBound the next
+  /// select() reserves its first slot for that class.
+  int passed_over_[kNumPriorities] = {0, 0, 0};
   std::size_t no_hold_ = 0;
 };
 

@@ -47,12 +47,8 @@ std::size_t prio_index(Priority priority) {
 InferenceService::InferenceService(DeployedModel model, ServeConfig config,
                                    const std::string& telemetry_label)
     : model_(std::move(model)),
-      // Validate before any knob is consumed: sched_ below is built from
-      // fairness_quantum, so a bad config must die here with the pinned
-      // validate_serve message, not inside the scheduler.
       config_((validate_serve(config), config)),
-      telemetry_label_(telemetry_label.empty() ? "default" : telemetry_label),
-      sched_(config.fairness_quantum) {
+      telemetry_label_(telemetry_label.empty() ? "default" : telemetry_label) {
   pool_cap_ = config_.max_workers > 0 ? config_.max_workers : config_.workers;
   // Resolve every series before any worker exists: the lookups take the
   // telemetry registration mutex (a leaf), and doing it here keeps that
@@ -245,7 +241,7 @@ std::vector<std::future<InferenceResult>> InferenceService::submit_batch(
       request.priority = options.priority;
       request.no_hold = resliced;
       futures.push_back(request.promise.get_future());
-      sched_.enqueue(std::move(request), options.client_id);
+      sched_.enqueue(std::move(request));
     }
     // The per-class gauge mirrors sched_.size(Priority): +n here, -n at
     // batch close and at every deadline shed. Relaxed atomic, so updating
@@ -481,15 +477,14 @@ InferenceService::BatchOutcome InferenceService::run_batch(
 
   // Fleet telemetry: cached series pointers, relaxed atomics only -- no
   // lock is held and none is taken. The shared per-priority latency series
-  // are cumulative (scrape-facing); interval_latency_ additionally backs
-  // the resettable ServiceStats percentiles.
+  // are cumulative (scrape-facing); the resettable interval_latency_ is
+  // fed in complete_batch_locked, with the rest of the interval stats.
   m_requests_->inc(static_cast<std::int64_t>(batch.size()));
   m_batches_->inc(1);
   m_clip_events_->inc(batch_clips);
   for (const SchedRequest& r : batch) {
-    const double latency = ms_between(r.enqueued, outcome.done);
-    m_latency_[prio_index(r.priority)]->observe(latency);
-    interval_latency_.observe(latency);
+    m_latency_[prio_index(r.priority)]->observe(
+        ms_between(r.enqueued, outcome.done));
   }
   if (traced) {
     telemetry::SpanRecord span;
@@ -516,6 +511,7 @@ void InferenceService::complete_batch_locked(std::vector<SchedRequest>& batch,
   for (std::size_t i = 0; i < batch.size(); ++i) {
     clip_events_ += outcome.results[i].clip_count;
     ++completed_by_priority_[prio_index(batch[i].priority)];
+    interval_latency_.observe(ms_between(batch[i].enqueued, outcome.done));
   }
   // Concurrent batches can get here out of completion order; the
   // throughput window must end at the LATEST completion seen.
@@ -529,10 +525,10 @@ void InferenceService::complete_batch_locked(std::vector<SchedRequest>& batch,
 }
 
 void InferenceService::reset() {
-  // The interval histogram is per-instance, so resetting it here cannot
-  // disturb the shared (cumulative) scrape series.
-  interval_latency_.reset();
   MutexLock lock(mu_);
+  // Per-instance, so resetting it cannot disturb the shared (cumulative)
+  // scrape series; under mu_, so it stays in step with completed_.
+  interval_latency_.reset();
   completed_ = 0;
   batches_ = 0;
   clip_events_ = 0;
@@ -580,12 +576,12 @@ ServiceStats InferenceService::stats() const {
       s.busy_workers += n > 0;
     }
     s.live_workers = live_workers_;
+    // Percentiles come from the whole-interval histogram digest (every
+    // completion since the last reset()), read under mu_ so they cover
+    // exactly the `requests` above. Resolution is the bucket upper bound.
+    s.p50_latency_ms = interval_latency_.quantile(0.50);
+    s.p99_latency_ms = interval_latency_.quantile(0.99);
   }
-  // Percentiles come from the whole-interval histogram digest (every
-  // completion since the last reset()). Resolution is the bucket upper
-  // bound.
-  s.p50_latency_ms = interval_latency_.quantile(0.50);
-  s.p99_latency_ms = interval_latency_.quantile(0.99);
   return s;
 }
 

@@ -45,15 +45,15 @@
 // queueing delay, not execution.
 //
 // Scheduling (serve/scheduler.hpp): batch selection is strict priority
-// (SubmitOptions::priority) -> deficit-round-robin client fairness
-// (SubmitOptions::client_id) -> FIFO, with a bounded anti-starvation
-// reservation so bulk traffic is delayed at most ServeConfig::
-// fairness_quantum batch closes. A submit_batch burst larger than
-// max_batch is re-sliced across idle workers (ServeConfig::reslice_bursts)
-// instead of draining serially, and the worker pool grows/shrinks within
-// [workers, max_workers] from queue depth and busy workers. None of this
-// can change results -- only completion order (the PR 5 bit-identity
-// contract, re-pinned across the priorities x clients x workers grid).
+// (SubmitOptions::priority) -> FIFO within the class, with a bounded
+// anti-starvation reservation so bulk traffic is delayed at most
+// Scheduler::kStarvationBound batch closes. A submit_batch burst larger
+// than max_batch is re-sliced across idle workers (ServeConfig::
+// reslice_bursts) instead of draining serially, and the worker pool
+// grows/shrinks within [workers, max_workers] from queue depth and busy
+// workers. None of this can change results -- only completion order (the
+// bit-identity contract, pinned across the priorities x workers x
+// max_batch grid).
 #pragma once
 
 #include <algorithm>
@@ -325,7 +325,9 @@ class InferenceService {
   /// Private per-instance latency histogram backing ServiceStats::p50/p99
   /// (the shared series above aggregates across instances and outlives
   /// reset(), so it cannot serve per-service interval percentiles).
-  /// Lock-free like every Histogram; reset() by the stats reset.
+  /// Written (observe, reset) and read by stats() only under mu_, so it
+  /// always counts exactly completed_; the registry's lock-free merge via
+  /// interval_latency() relies on Histogram's atomics.
   telemetry::Histogram interval_latency_;
 
   /// The service's one lock: queue, pool and interval stats. Nothing is

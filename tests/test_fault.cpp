@@ -384,7 +384,7 @@ TEST_F(ServiceFault, ScheduleFaultsResolveAllRequestsAndKeepThePoolFloor) {
   InferenceService service(zoo.deploy(0), cfg);
 
   // The satellite rate: 1% per batch close, seeded. Mixed priority classes
-  // and fairness clients so the faults land across the whole policy space.
+  // so the faults land across the whole policy space.
   fault::arm_probability("serve.schedule", 0.01, 0x5C4EDu);
   constexpr Priority kClasses[] = {Priority::kInteractive, Priority::kNormal,
                                    Priority::kBulk};
@@ -396,7 +396,6 @@ TEST_F(ServiceFault, ScheduleFaultsResolveAllRequestsAndKeepThePoolFloor) {
                                           zoo.data.test.size());
     SubmitOptions options;
     options.priority = kClasses[static_cast<std::size_t>(i) % 3];
-    options.client_id = "client" + std::to_string(i % 4);
     futures.push_back(service.submit(
         zoo.data.test.sample(static_cast<std::int64_t>(image)), options));
     image_of.push_back(image);

@@ -304,12 +304,11 @@ TEST_F(LockDebugTest, RegistryMutexHasNoOutgoingEdges) {
     registry.submit("m", "v2", data.test.sample(0)).get();
     // Exercise the scheduler's full policy surface through the registry:
     // the Scheduler is plain data under InferenceService::mu_, so priority
-    // classes, fairness clients, and the per-priority stats fold must add
-    // NO lock (and so no edge) to the fleet graph.
+    // classes and the per-priority stats fold must add NO lock (and so no
+    // edge) to the fleet graph.
     for (int i = 0; i < 6; ++i) {
       SubmitOptions options;
       options.priority = static_cast<Priority>(i % 3);
-      options.client_id = "client" + std::to_string(i % 2);
       registry.submit("m", "v2", data.test.sample(0), options).get();
     }
     registry.stats();  // the scrape reads service stats outside mu_ too

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -153,7 +154,6 @@ PipelineConfig random_config(Rng& rng) {
   cfg.serve.max_queue = rng.flip() ? 0 : rng.uniform_int(1, 2048);
   cfg.serve.max_workers =
       rng.flip() ? 0 : rng.uniform_int(cfg.serve.workers, 16);
-  cfg.serve.fairness_quantum = rng.uniform_int(1, 64);
   cfg.serve.reslice_bursts = rng.flip();
   cfg.anchors =
       rng.flip() ? AccuracyAnchors::resnet50() : AccuracyAnchors::resnet101();
@@ -187,8 +187,6 @@ TEST(ArtifactCompiled, PropertyRandomConfigsRoundTripByteIdentically) {
     EXPECT_EQ(loaded.config().serve.workers, cfg.serve.workers);
     EXPECT_EQ(loaded.config().serve.max_queue, cfg.serve.max_queue);
     EXPECT_EQ(loaded.config().serve.max_workers, cfg.serve.max_workers);
-    EXPECT_EQ(loaded.config().serve.fairness_quantum,
-              cfg.serve.fairness_quantum);
     EXPECT_EQ(loaded.config().serve.reslice_bursts,
               cfg.serve.reslice_bursts);
     EXPECT_EQ(loaded.config().seed, cfg.seed);
@@ -721,6 +719,49 @@ TEST(InferenceService, ResetStartsAFreshStatsInterval) {
   EXPECT_GT(next.p50_latency_ms, 0.0);
 }
 
+// reset() racing live traffic must leave the interval's request counter and
+// its latency histogram in step: each completion is counted in both or in
+// neither. Every round stops resetting while requests are still in flight
+// and checks the pair once all of them have resolved.
+TEST(InferenceService, ResetDuringTrafficKeepsRequestAndLatencyCountsEqual) {
+  DeployedFixture& fx = DeployedFixture::instance();
+  ServeConfig scfg;
+  scfg.max_batch = 2;
+  scfg.flush_deadline_ms = 0.5;
+  scfg.workers = 2;
+  InferenceService service =
+      std::move(Pipeline{PipelineConfig{}}.deploy(fx.net, fx.data.train))
+          .serve(scfg);
+  constexpr int kRounds = 20;
+  constexpr int kSubmitters = 2;
+  constexpr int kPerSubmitter = 12;
+  for (int round = 0; round < kRounds; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    std::atomic<bool> submitting{true};
+    std::thread resetter([&] {
+      while (submitting.load(std::memory_order_relaxed)) service.reset();
+    });
+    std::vector<std::future<InferenceResult>> futures[kSubmitters];
+    std::vector<std::thread> submitters;
+    for (int t = 0; t < kSubmitters; ++t) {
+      submitters.emplace_back([&, t] {
+        for (int i = 0; i < kPerSubmitter; ++i) {
+          futures[t].push_back(service.submit(
+              fx.data.test.sample((t * kPerSubmitter + i) %
+                                  fx.data.test.size())));
+        }
+      });
+    }
+    for (std::thread& t : submitters) t.join();
+    submitting.store(false, std::memory_order_relaxed);
+    resetter.join();
+    for (auto& per_thread : futures) {
+      for (auto& f : per_thread) (void)f.get();
+    }
+    EXPECT_EQ(service.stats().requests, service.interval_latency().count());
+  }
+}
+
 TEST(InferenceService, AdmissionControlIsAtomicWithEnqueue) {
   DeployedFixture& fx = DeployedFixture::instance();
   ServeConfig scfg;
@@ -1022,10 +1063,9 @@ TEST(ServiceDeadline, ValidatesOptionsAndTreatsZeroAsNoDeadline) {
 // ---- SLA-aware scheduling core (serve/scheduler.hpp) ----
 
 // The PR 5 bit-identity grid, extended across the scheduler's dimensions:
-// every priority class, one vs. several fairness clients, one vs. several
-// workers, and the batch-size sweep. Scheduling may only change completion
-// ORDER -- every logit and clip count must match the serial direct path bit
-// for bit at every grid point.
+// every priority class, one vs. several workers, and the batch-size sweep.
+// Scheduling may only change completion ORDER -- every logit and clip count
+// must match the serial direct path bit for bit at every grid point.
 TEST(SchedulerService, ResultsBitIdenticalAcrossPriorityClientWorkerGrid) {
   ThreadGuard guard;
   DeployedFixture& fx = DeployedFixture::instance();
@@ -1044,46 +1084,40 @@ TEST(SchedulerService, ResultsBitIdenticalAcrossPriorityClientWorkerGrid) {
 
   constexpr Priority kClasses[] = {Priority::kInteractive, Priority::kNormal,
                                    Priority::kBulk};
-  for (const int clients : {1, 4}) {
-    for (const int workers : {1, 3}) {
-      for (const int max_batch : {1, 5, 64}) {
-        SCOPED_TRACE("clients " + std::to_string(clients) + " workers " +
-                     std::to_string(workers) + " max_batch " +
-                     std::to_string(max_batch));
-        ServeConfig scfg;
-        scfg.max_batch = max_batch;
-        scfg.flush_deadline_ms = 1.0;
-        scfg.workers = workers;
-        InferenceService service =
-            std::move(pipeline.deploy(fx.net, fx.data.train)).serve(scfg);
+  for (const int workers : {1, 3}) {
+    for (const int max_batch : {1, 5, 64}) {
+      SCOPED_TRACE("workers " + std::to_string(workers) + " max_batch " +
+                   std::to_string(max_batch));
+      ServeConfig scfg;
+      scfg.max_batch = max_batch;
+      scfg.flush_deadline_ms = 1.0;
+      scfg.workers = workers;
+      InferenceService service =
+          std::move(pipeline.deploy(fx.net, fx.data.train)).serve(scfg);
 
-        // Interleave all three classes across the client set per request,
-        // so every (priority, client) queue carries traffic concurrently.
-        std::vector<std::future<InferenceResult>> futures;
-        for (std::int64_t i = 0; i < fx.data.test.size(); ++i) {
-          SubmitOptions options;
-          options.priority = kClasses[static_cast<std::size_t>(i) % 3];
-          options.client_id =
-              "client" + std::to_string(static_cast<int>(i) % clients);
-          futures.push_back(
-              service.submit(fx.data.test.sample(i), options));
-        }
-        for (std::size_t i = 0; i < futures.size(); ++i) {
-          const InferenceResult r = futures[i].get();
-          ASSERT_EQ(r.logits.shape(), expected[i].shape());
-          for (std::int64_t j = 0; j < r.logits.numel(); ++j) {
-            EXPECT_EQ(r.logits.at(j), expected[i].at(j))
-                << "image " << i << " logit " << j;
-          }
-          EXPECT_EQ(r.clip_count, expected_clips[i]) << "image " << i;
-        }
-        const ServiceStats stats = service.stats();
-        EXPECT_EQ(stats.requests, fx.data.test.size());
-        EXPECT_EQ(stats.completed_by_priority[0] +
-                      stats.completed_by_priority[1] +
-                      stats.completed_by_priority[2],
-                  stats.requests);
+      // Interleave all three classes per request, so every class queue
+      // carries traffic concurrently.
+      std::vector<std::future<InferenceResult>> futures;
+      for (std::int64_t i = 0; i < fx.data.test.size(); ++i) {
+        SubmitOptions options;
+        options.priority = kClasses[static_cast<std::size_t>(i) % 3];
+        futures.push_back(service.submit(fx.data.test.sample(i), options));
       }
+      for (std::size_t i = 0; i < futures.size(); ++i) {
+        const InferenceResult r = futures[i].get();
+        ASSERT_EQ(r.logits.shape(), expected[i].shape());
+        for (std::int64_t j = 0; j < r.logits.numel(); ++j) {
+          EXPECT_EQ(r.logits.at(j), expected[i].at(j))
+              << "image " << i << " logit " << j;
+        }
+        EXPECT_EQ(r.clip_count, expected_clips[i]) << "image " << i;
+      }
+      const ServiceStats stats = service.stats();
+      EXPECT_EQ(stats.requests, fx.data.test.size());
+      EXPECT_EQ(stats.completed_by_priority[0] +
+                    stats.completed_by_priority[1] +
+                    stats.completed_by_priority[2],
+                stats.requests);
     }
   }
 }
