@@ -46,14 +46,7 @@ Tensor DatapathSimulator::run(const Tensor& input) {
       const float* seg = seg_base + fa.ci_start * khw;
       stats_.buffer_reads += ci_len * khw;
       stats_.table_lookups += 2;  // IFAT entry + IFRT sequence fetch
-      // Determine the output width of this round from its OFAT entry.
-      std::int64_t co_len = 0;
-      for (const OfatEntry& oe : tables_.ofat()) {
-        if (oe.round == fa.round && oe.replica_of < 0) {
-          co_len = oe.co_stop - oe.co_start;
-          break;
-        }
-      }
+      const std::int64_t co_len = tables_.co_len(fa.round);
       auto& partial = partials[static_cast<std::size_t>(fa.round)];
       partial.assign(static_cast<std::size_t>(co_len), 0.0f);
       // Word lines with IFRT == inactive stay at zero volts; active ones

@@ -15,6 +15,7 @@ IndexTables::IndexTables(const SamplePlan& plan) {
   const ConvSpec& conv = plan.conv();
   rows_ = spec.rows();
   ifrt_.resize(static_cast<std::size_t>(plan.active_rounds()));
+  co_len_.resize(ifrt_.size(), 0);
 
   for (const PatchSample& s : plan.samples()) {
     if (s.replicated) {
@@ -28,6 +29,7 @@ IndexTables::IndexTables(const SamplePlan& plan) {
     ifat_.push_back({s.round, s.ci_begin, s.ci_begin + s.ci_len});
     ofat_.push_back({s.round, s.co_begin, s.co_begin + s.co_len,
                      /*accumulate=*/s.in_group > 0, /*replica_of=*/-1});
+    co_len_[static_cast<std::size_t>(s.round)] = s.co_len;
 
     // IFRT: word line (e_ci, py, qx) -> index into the gathered input
     // segment, which is laid out as (channel, ky, kx) row-major.

@@ -61,6 +61,12 @@ class IndexTables {
 
   std::int64_t epitome_rows() const { return rows_; }
 
+  /// Output width of an active round: the co_len of the primary patch that
+  /// computes it (the span its OFAT entry, and every replica, draws from).
+  std::int64_t co_len(std::int64_t round) const {
+    return co_len_[static_cast<std::size_t>(round)];
+  }
+
   /// Total storage the tables require, in entries (for the datapath-overhead
   /// ablation): IFAT/OFAT pairs plus IFRT sequence elements.
   std::int64_t storage_entries() const;
@@ -69,6 +75,7 @@ class IndexTables {
   std::vector<IfatEntry> ifat_;
   std::vector<OfatEntry> ofat_;
   std::vector<IfrtSequence> ifrt_;
+  std::vector<std::int64_t> co_len_;  ///< per active round
   std::int64_t rows_ = 0;
 };
 

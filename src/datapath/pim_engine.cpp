@@ -49,6 +49,38 @@ PimLayerEngine::PimLayerEngine(ConvLayerInfo layer, EpitomeSpec spec,
                             r0, rc, c0, cc});
     }
   }
+
+  // The gather plan: everything about a round that does not depend on the
+  // output position. IFRT index idx = (segment channel * kh + ky) * kw + kx.
+  const ConvSpec& conv = layer_.conv;
+  const std::int64_t khw = conv.kernel_h * conv.kernel_w;
+  const std::int64_t plane = layer_.ifm_h * layer_.ifm_w;
+  rounds_.reserve(tables_.ifat().size());
+  for (const IfatEntry& fa : tables_.ifat()) {
+    const IfrtSequence& seq =
+        tables_.ifrt()[static_cast<std::size_t>(fa.round)];
+    RoundPlan& rp = rounds_.emplace_back(
+        RoundPlan{fa.round, tables_.co_len(fa.round), {}});
+    for (std::size_t t = 0; t < tiles_.size(); ++t) {
+      const Tile& tile = tiles_[t];
+      if (tile.col_begin >= rp.co_len) continue;
+      TileRound tr{t, std::min(tile.col_count, rp.co_len - tile.col_begin),
+                   {}, {}, {}, {}};
+      for (std::int64_t r = 0; r < tile.row_count; ++r) {
+        const std::int32_t idx =
+            seq.row_to_input[static_cast<std::size_t>(tile.row_begin + r)];
+        if (idx == IfrtSequence::kInactiveRow) continue;
+        const std::int64_t ci = fa.ci_start + idx / khw;
+        const std::int64_t ky = (idx % khw) / conv.kernel_w;
+        const std::int64_t kx = idx % conv.kernel_w;
+        tr.rows.push_back(static_cast<std::int32_t>(r));
+        tr.offset.push_back(ci * plane + ky * layer_.ifm_w + kx);
+        tr.ky.push_back(static_cast<std::int32_t>(ky));
+        tr.kx.push_back(static_cast<std::int32_t>(kx));
+      }
+      if (!tr.rows.empty()) rp.tiles.push_back(std::move(tr));
+    }
+  }
 }
 
 IntOutput PimLayerEngine::run(const IntImage& input, int act_bits,
@@ -61,26 +93,12 @@ IntOutput PimLayerEngine::run(const IntImage& input, int act_bits,
              "input data size mismatch");
   const std::int64_t oh = layer_.ofm_h();
   const std::int64_t ow = layer_.ofm_w();
-  const std::int64_t rows = tables_.epitome_rows();
 
   IntOutput out;
   out.channels = conv.out_channels;
   out.height = oh;
   out.width = ow;
   out.data.assign(static_cast<std::size_t>(conv.out_channels * oh * ow), 0);
-
-  // Per-round output widths, invariant across positions (first primary OFAT
-  // entry of each round, as in the per-position scan this hoists).
-  std::vector<std::int64_t> round_co_len(
-      static_cast<std::size_t>(plan_.active_rounds()), 0);
-  std::vector<bool> round_seen(round_co_len.size(), false);
-  for (const OfatEntry& oe : tables_.ofat()) {
-    if (oe.replica_of < 0 && !round_seen[static_cast<std::size_t>(oe.round)]) {
-      round_seen[static_cast<std::size_t>(oe.round)] = true;
-      round_co_len[static_cast<std::size_t>(oe.round)] =
-          oe.co_stop - oe.co_start;
-    }
-  }
 
   // Output positions fan out across threads. Every position writes a
   // disjoint set of out.data cells and the per-position work is pure, so
@@ -94,63 +112,48 @@ IntOutput PimLayerEngine::run(const IntImage& input, int act_bits,
                                              std::int64_t end) {
     std::vector<std::vector<std::int64_t>> partials(
         static_cast<std::size_t>(plan_.active_rounds()));
-    std::vector<std::uint32_t> line_value(static_cast<std::size_t>(rows));
-    std::vector<bool> line_enable(static_cast<std::size_t>(rows));
-    std::vector<std::uint32_t> in;
-    std::vector<bool> en;
-    std::vector<std::int64_t> res;
+    // Inputs indexed by tile-local row; only a round's active rows are
+    // written, and only those are read by the kernel.
+    std::vector<std::uint32_t> in(static_cast<std::size_t>(config_.rows));
+    std::vector<std::int64_t> res(static_cast<std::size_t>(config_.cols));
     std::int64_t& clips = chunk_clips[static_cast<std::size_t>(chunk)];
+    const std::uint32_t* data = input.data.data();
 
     for (std::int64_t pos = begin; pos < end; ++pos) {
-      const std::int64_t oy = pos / ow;
-      const std::int64_t ox = pos % ow;
+      // Top-left input coordinate of the receptive field, and whether the
+      // whole kh x kw window lies inside the image (no padding read).
+      const std::int64_t iy0 = (pos / ow) * conv.stride - conv.pad;
+      const std::int64_t ix0 = (pos % ow) * conv.stride - conv.pad;
+      const bool interior = iy0 >= 0 && ix0 >= 0 &&
+                            iy0 + conv.kernel_h <= input.height &&
+                            ix0 + conv.kernel_w <= input.width;
+      const std::int64_t base = iy0 * input.width + ix0;
       // Crossbar activation rounds.
-      for (const IfatEntry& fa : tables_.ifat()) {
-        const IfrtSequence& seq =
-            tables_.ifrt()[static_cast<std::size_t>(fa.round)];
-        std::fill(line_value.begin(), line_value.end(), 0u);
-        std::fill(line_enable.begin(), line_enable.end(), false);
-        for (std::int64_t wl = 0; wl < rows; ++wl) {
-          const std::int32_t idx =
-              seq.row_to_input[static_cast<std::size_t>(wl)];
-          if (idx == IfrtSequence::kInactiveRow) continue;
-          // idx = (segment channel * kh + ky) * kw + kx.
-          const std::int64_t khw = conv.kernel_h * conv.kernel_w;
-          const std::int64_t ci = fa.ci_start + idx / khw;
-          const std::int64_t ky = (idx % khw) / conv.kernel_w;
-          const std::int64_t kx = idx % conv.kernel_w;
-          const std::int64_t iy = oy * conv.stride + ky - conv.pad;
-          const std::int64_t ix = ox * conv.stride + kx - conv.pad;
-          std::uint32_t v = 0;
-          if (iy >= 0 && iy < input.height && ix >= 0 && ix < input.width) {
-            v = input.data[static_cast<std::size_t>(
-                (ci * input.height + iy) * input.width + ix)];
+      for (const RoundPlan& rp : rounds_) {
+        auto& partial = partials[static_cast<std::size_t>(rp.round)];
+        partial.assign(static_cast<std::size_t>(rp.co_len), 0);
+        for (const TileRound& tr : rp.tiles) {
+          const std::size_t n = tr.rows.size();
+          if (interior) {
+            const std::uint32_t* src = data + base;
+            for (std::size_t k = 0; k < n; ++k) {
+              in[static_cast<std::size_t>(tr.rows[k])] = src[tr.offset[k]];
+            }
+          } else {
+            for (std::size_t k = 0; k < n; ++k) {
+              const std::int64_t iy = iy0 + tr.ky[k];
+              const std::int64_t ix = ix0 + tr.kx[k];
+              in[static_cast<std::size_t>(tr.rows[k])] =
+                  iy >= 0 && iy < input.height && ix >= 0 && ix < input.width
+                      ? data[base + tr.offset[k]]
+                      : 0u;
+            }
           }
-          line_value[static_cast<std::size_t>(wl)] = v;
-          line_enable[static_cast<std::size_t>(wl)] = true;
-        }
-        const std::int64_t co_len =
-            round_co_len[static_cast<std::size_t>(fa.round)];
-        auto& partial = partials[static_cast<std::size_t>(fa.round)];
-        partial.assign(static_cast<std::size_t>(co_len), 0);
-        for (const Tile& tile : tiles_) {
-          if (tile.col_begin >= co_len) continue;
-          in.assign(static_cast<std::size_t>(tile.row_count), 0u);
-          en.assign(static_cast<std::size_t>(tile.row_count), false);
-          bool any = false;
-          for (std::int64_t r = 0; r < tile.row_count; ++r) {
-            in[static_cast<std::size_t>(r)] =
-                line_value[static_cast<std::size_t>(tile.row_begin + r)];
-            const bool e =
-                line_enable[static_cast<std::size_t>(tile.row_begin + r)];
-            en[static_cast<std::size_t>(r)] = e;
-            any = any || e;
-          }
-          if (!any) continue;
-          tile.array.mvm(in, en, act_bits, res, &clips);
-          const std::int64_t cc = std::min(tile.col_count,
-                                           co_len - tile.col_begin);
-          for (std::int64_t c = 0; c < cc; ++c) {
+          const Tile& tile = tiles_[tr.tile];
+          const std::span<const std::uint32_t> tile_in(
+              in.data(), static_cast<std::size_t>(tile.row_count));
+          tile.array.mvm(tile_in, tr.rows, act_bits, res.data(), &clips);
+          for (std::int64_t c = 0; c < tr.cols; ++c) {
             partial[static_cast<std::size_t>(tile.col_begin + c)] +=
                 res[static_cast<std::size_t>(c)];
           }

@@ -8,6 +8,14 @@
 // With adequate ADC resolution the result is bit-exact with the integer
 // reference convolution -- the end-to-end hardware-correctness test of the
 // repo -- and with a starved ADC it exhibits realistic clipping error.
+//
+// Like the hardware, whose IFAT/IFRT tables are fixed once the epitome is
+// mapped, the engine resolves every round's word lines when it is built:
+// per round and tile, the tile-local active rows (ascending) and each row's
+// input offset ci*H*W + ky*W + kx. run() then only adds an output
+// position's base address -- unchecked for interior positions, with a
+// bounds check per row only where the window overlaps the zero padding --
+// and hands the row list straight to the crossbar's span kernel.
 #pragma once
 
 #include <cstdint>
@@ -68,11 +76,31 @@ class PimLayerEngine {
     std::int64_t col_begin, col_count;
   };
 
+  /// One tile's share of one round, resolved at build time. Tiles whose
+  /// rows are all inactive in the round, or whose columns start past the
+  /// round's output width, have no entry.
+  struct TileRound {
+    std::size_t tile;   ///< index into tiles_
+    std::int64_t cols;  ///< output columns the tile adds to the round
+    std::vector<std::int32_t> rows;     ///< tile-local active word lines
+    std::vector<std::int64_t> offset;   ///< per row: ci*H*W + ky*W + kx
+    std::vector<std::int32_t> ky, kx;   ///< per row: for the border check
+  };
+
+  /// One IFAT round: its output width and the tiles it drives, in tile
+  /// order (the order the partial sums were always accumulated in).
+  struct RoundPlan {
+    std::int64_t round;
+    std::int64_t co_len;
+    std::vector<TileRound> tiles;
+  };
+
   ConvLayerInfo layer_;
   SamplePlan plan_;
   IndexTables tables_;
   CrossbarConfig config_;
   std::vector<Tile> tiles_;
+  std::vector<RoundPlan> rounds_;  ///< one per IFAT entry, in IFAT order
 };
 
 }  // namespace epim

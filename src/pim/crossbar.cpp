@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "common/check.hpp"
 #include "common/math_util.hpp"
@@ -104,12 +105,13 @@ namespace {
 /// deterministic.
 thread_local std::vector<std::int32_t> t_active;
 thread_local std::vector<double> t_current_analog;
+thread_local std::vector<std::int32_t> t_lit;
 thread_local std::vector<std::int64_t> t_current_ideal;
 
 }  // namespace
 
-void CrossbarArray::mvm_analog(const std::vector<std::uint32_t>& input,
-                               const std::vector<std::int32_t>& active,
+void CrossbarArray::mvm_analog(std::span<const std::uint32_t> input,
+                               std::span<const std::int32_t> active,
                                int act_bits, std::int64_t* acc,
                                std::int64_t& clips) const {
   const std::int64_t adc_max = (std::int64_t{1} << config_.adc_bits) - 1;
@@ -119,15 +121,30 @@ void CrossbarArray::mvm_analog(const std::vector<std::uint32_t>& input,
   // (Row-major accumulation in ascending row order: word lines whose input
   // bit is zero draw no current and are skipped outright.)
   std::vector<double>& current = t_current_analog;
+  std::vector<std::int32_t>& lit = t_lit;
   current.assign(static_cast<std::size_t>(cols_), 0.0);
   for (int t = 0; t < act_bits; ++t) {
+    // The word lines driving a one in cycle t, shared by every slice.
+    lit.clear();
+    for (const std::int32_t r : active) {
+      if ((input[static_cast<std::size_t>(r)] >> t) & 1u) lit.push_back(r);
+    }
     for (std::int64_t s = 0; s < slices_; ++s) {
       const double* plane = cells_.data() + s * rows_ * cols_;
-      std::fill(current.begin(), current.end(), 0.0);
-      for (const std::int32_t r : active) {
-        if (((input[static_cast<std::size_t>(r)] >> t) & 1u) == 0u) continue;
-        const double* row = plane + static_cast<std::int64_t>(r) * cols_;
-        for (std::int64_t c = 0; c < cols_; ++c) current[c] += row[c];
+      double* cur = current.data();
+      std::fill(cur, cur + cols_, 0.0);
+      // Two rows per pass over the columns: (cur + a) + b rounds exactly as
+      // two one-row passes do, so the sums stay bit-identical.
+      std::size_t k = 0;
+      for (; k + 1 < lit.size(); k += 2) {
+        const double* a = plane + static_cast<std::int64_t>(lit[k]) * cols_;
+        const double* b =
+            plane + static_cast<std::int64_t>(lit[k + 1]) * cols_;
+        for (std::int64_t c = 0; c < cols_; ++c) cur[c] = cur[c] + a[c] + b[c];
+      }
+      if (k < lit.size()) {
+        const double* a = plane + static_cast<std::int64_t>(lit[k]) * cols_;
+        for (std::int64_t c = 0; c < cols_; ++c) cur[c] += a[c];
       }
       for (std::int64_t c = 0; c < cols_; ++c) {
         // The ADC digitizes the analog column current to an integer code.
@@ -144,8 +161,8 @@ void CrossbarArray::mvm_analog(const std::vector<std::uint32_t>& input,
   }
 }
 
-void CrossbarArray::mvm_ideal_serial(const std::vector<std::uint32_t>& input,
-                                     const std::vector<std::int32_t>& active,
+void CrossbarArray::mvm_ideal_serial(std::span<const std::uint32_t> input,
+                                     std::span<const std::int32_t> active,
                                      int act_bits, std::int64_t* acc,
                                      std::int64_t& clips) const {
   // Same schedule as the analog path, but on exact integer digits: column
@@ -176,27 +193,22 @@ void CrossbarArray::mvm_ideal_serial(const std::vector<std::uint32_t>& input,
   }
 }
 
-void CrossbarArray::mvm(const std::vector<std::uint32_t>& input,
-                        const std::vector<bool>& row_enable, int act_bits,
-                        std::vector<std::int64_t>& acc,
+void CrossbarArray::mvm(std::span<const std::uint32_t> input,
+                        std::span<const std::int32_t> active, int act_bits,
+                        std::int64_t* out,
                         std::int64_t* clip_count) const {
   EPIM_CHECK(static_cast<std::int64_t>(input.size()) == rows_,
              "input length must equal logical rows");
-  EPIM_CHECK(static_cast<std::int64_t>(row_enable.size()) == rows_,
-             "row_enable length must equal logical rows");
+  EPIM_CHECK(static_cast<std::int64_t>(active.size()) <= rows_,
+             "more active rows than logical rows");
   EPIM_CHECK(act_bits >= 1 && act_bits <= 32, "act_bits out of range");
-  acc.assign(static_cast<std::size_t>(cols_), 0);
-
-  // Row gating as a dense index list: every path below walks only the
-  // enabled word lines.
-  std::vector<std::int32_t>& active = t_active;
-  active.clear();
-  active.reserve(static_cast<std::size_t>(rows_));
-  for (std::int64_t r = 0; r < rows_; ++r) {
-    if (row_enable[static_cast<std::size_t>(r)]) {
-      active.push_back(static_cast<std::int32_t>(r));
-    }
-  }
+  EPIM_DCHECK(std::adjacent_find(active.begin(), active.end(),
+                                 std::greater_equal<>()) == active.end(),
+              "active rows must be strictly ascending");
+  EPIM_DCHECK(active.empty() ||
+                  (active.front() >= 0 && active.back() < rows_),
+              "active row out of range");
+  std::fill(out, out + cols_, std::int64_t{0});
 
   if (ideal_ && never_clips_) {
     // Direct path: with exact digits and a wide ADC the shift-add over
@@ -208,6 +220,10 @@ void CrossbarArray::mvm(const std::vector<std::uint32_t>& input,
     const std::uint32_t mask =
         act_bits >= 32 ? 0xFFFF'FFFFu : (1u << act_bits) - 1u;
     std::int64_t full_sum = 0, masked_sum = 0;
+    // Rows with a nonzero input go into `out` two per pass over the columns
+    // (integer sums: the grouping cannot change the result).
+    const std::int64_t* held = nullptr;
+    std::int64_t held_in = 0;
     for (const std::int32_t r : active) {
       full_sum += input[static_cast<std::size_t>(r)];
       const std::int64_t in = input[static_cast<std::size_t>(r)] & mask;
@@ -215,15 +231,24 @@ void CrossbarArray::mvm(const std::vector<std::uint32_t>& input,
       if (in == 0) continue;
       const std::int64_t* row =
           signed_weights_.data() + static_cast<std::int64_t>(r) * cols_;
-      for (std::int64_t c = 0; c < cols_; ++c) {
-        acc[static_cast<std::size_t>(c)] += in * row[c];
+      if (held == nullptr) {
+        held = row;
+        held_in = in;
+        continue;
       }
+      for (std::int64_t c = 0; c < cols_; ++c) {
+        out[c] += held_in * held[c] + in * row[c];
+      }
+      held = nullptr;
+    }
+    if (held != nullptr) {
+      for (std::int64_t c = 0; c < cols_; ++c) out[c] += held_in * held[c];
     }
     if (full_sum != masked_sum) {
       // The bit-serial reference streams only act_bits input bits but
       // corrects with the *full* input sum; mirror that bit-for-bit.
       for (std::int64_t c = 0; c < cols_; ++c) {
-        acc[static_cast<std::size_t>(c)] -= offset_ * (full_sum - masked_sum);
+        out[c] -= offset_ * (full_sum - masked_sum);
       }
     }
     return;  // no clipping by construction
@@ -231,9 +256,9 @@ void CrossbarArray::mvm(const std::vector<std::uint32_t>& input,
 
   std::int64_t clips = 0;
   if (ideal_) {
-    mvm_ideal_serial(input, active, act_bits, acc.data(), clips);
+    mvm_ideal_serial(input, active, act_bits, out, clips);
   } else {
-    mvm_analog(input, active, act_bits, acc.data(), clips);
+    mvm_analog(input, active, act_bits, out, clips);
   }
   // Remove the offset-binary bias: stored = w + offset, so the analog result
   // overcounts by offset * sum(enabled inputs).
@@ -241,10 +266,26 @@ void CrossbarArray::mvm(const std::vector<std::uint32_t>& input,
   for (const std::int32_t r : active) {
     input_sum += input[static_cast<std::size_t>(r)];
   }
-  for (std::int64_t c = 0; c < cols_; ++c) {
-    acc[static_cast<std::size_t>(c)] -= offset_ * input_sum;
-  }
+  for (std::int64_t c = 0; c < cols_; ++c) out[c] -= offset_ * input_sum;
   if (clip_count != nullptr) *clip_count += clips;
+}
+
+void CrossbarArray::mvm(const std::vector<std::uint32_t>& input,
+                        const std::vector<bool>& row_enable, int act_bits,
+                        std::vector<std::int64_t>& acc,
+                        std::int64_t* clip_count) const {
+  EPIM_CHECK(static_cast<std::int64_t>(row_enable.size()) == rows_,
+             "row_enable length must equal logical rows");
+  // Row gating as a dense index list: the kernel walks only these rows.
+  std::vector<std::int32_t>& active = t_active;
+  active.clear();
+  for (std::int64_t r = 0; r < rows_; ++r) {
+    if (row_enable[static_cast<std::size_t>(r)]) {
+      active.push_back(static_cast<std::int32_t>(r));
+    }
+  }
+  acc.resize(static_cast<std::size_t>(cols_));
+  mvm(input, active, act_bits, acc.data(), clip_count);
 }
 
 std::vector<std::int64_t> CrossbarArray::mvm(

@@ -11,7 +11,12 @@
 // sweeps.
 //
 // Storage is one contiguous buffer (slice-major, row-major planes) walked
-// with pointer arithmetic, and two fast paths cover the ideal-device case:
+// with pointer arithmetic. The kernel takes its row gating as a span of
+// active word lines (ascending) next to a span of inputs indexed by row, so
+// a caller that knows its IFRT pattern ahead of time (PimLayerEngine builds
+// it once per layer) never materializes a mask; the vector<bool> overloads
+// build that list and call the same kernel. Two fast paths cover the
+// ideal-device case:
 //  * wide-ADC ideal arrays (no clipping possible for any input) collapse the
 //    whole bit-serial schedule into one int64 dot product per column;
 //  * narrow-ADC ideal arrays run the bit-serial schedule on integer digits,
@@ -21,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "pim/config.hpp"
@@ -81,15 +87,25 @@ class CrossbarArray {
            const std::vector<bool>& row_enable, int act_bits,
            std::vector<std::int64_t>& acc, std::int64_t* clip_count) const;
 
+  /// The kernel itself. `input` holds one activation per logical row, but
+  /// only the rows listed in `active` (strictly ascending, each in
+  /// [0, logical_rows())) are read; the others may hold anything. Writes
+  /// logical_cols() accumulators to `out`, bit-identical to the masked
+  /// overloads with exactly those rows enabled, and accumulates clip events
+  /// into *clip_count when it is non-null.
+  void mvm(std::span<const std::uint32_t> input,
+           std::span<const std::int32_t> active, int act_bits,
+           std::int64_t* out, std::int64_t* clip_count) const;
+
  private:
   /// Analog reference path (always taken by non-ideal arrays).
-  void mvm_analog(const std::vector<std::uint32_t>& input,
-                  const std::vector<std::int32_t>& active, int act_bits,
+  void mvm_analog(std::span<const std::uint32_t> input,
+                  std::span<const std::int32_t> active, int act_bits,
                   std::int64_t* acc, std::int64_t& clips) const;
   /// Ideal array, ADC too narrow for the worst-case column current:
   /// bit-serial on integer digits, bit-identical saturation behaviour.
-  void mvm_ideal_serial(const std::vector<std::uint32_t>& input,
-                        const std::vector<std::int32_t>& active, int act_bits,
+  void mvm_ideal_serial(std::span<const std::uint32_t> input,
+                        std::span<const std::int32_t> active, int act_bits,
                         std::int64_t* acc, std::int64_t& clips) const;
 
   CrossbarConfig config_;

@@ -3,7 +3,8 @@
 // fast paths) must be bit-identical to the seed implementation in every
 // regime -- ideal wide-ADC (direct integer path), ideal starved-ADC
 // (integer bit-serial path with saturation), and non-ideal (analog path),
-// including partial row_enable masks and the clip diagnostics.
+// including partial row_enable masks and the clip diagnostics. The span
+// overload (active-row list instead of a mask) is pinned the same way.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -179,6 +180,54 @@ TEST_P(KernelGolden, BitIdenticalToSeedImplementation) {
     }
     EXPECT_EQ(clips, seed.last_clip_count())
         << p.name << " trial " << trial;
+  }
+}
+
+TEST_P(KernelGolden, SpanOverloadBitIdenticalToSeedImplementation) {
+  const GoldenCase& p = GetParam();
+  Rng rng(0xC0FFEEu);
+  CrossbarConfig cfg;
+  cfg.adc_bits = p.adc_bits;
+  const int lo = -(1 << (p.weight_bits - 1));
+  const int hi = (1 << (p.weight_bits - 1)) - 1;
+  std::vector<std::vector<int>> w(
+      static_cast<std::size_t>(p.rows),
+      std::vector<int>(static_cast<std::size_t>(p.cols)));
+  for (auto& row : w) {
+    for (auto& v : row) v = rng.uniform_int(lo, hi);
+  }
+
+  const CrossbarArray kernel(cfg, p.weight_bits, w, p.non_ideal);
+  const SeedCrossbar seed(cfg, p.weight_bits, w, p.non_ideal);
+
+  for (int trial = 0; trial < 8; ++trial) {
+    std::vector<std::uint32_t> x(static_cast<std::size_t>(p.rows));
+    std::vector<bool> en(static_cast<std::size_t>(p.rows));
+    std::vector<std::int32_t> active;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      x[i] = static_cast<std::uint32_t>(
+          rng.uniform_int(0, (1 << p.act_bits) - 1));
+      en[i] = rng.flip(p.enable_prob);
+      if (en[i]) active.push_back(static_cast<std::int32_t>(i));
+    }
+    const auto want = seed.mvm(x, en, p.act_bits);
+    std::vector<std::int64_t> got(want.size());
+    std::int64_t clips = 0;
+    kernel.mvm(x, active, p.act_bits, got.data(), &clips);
+    EXPECT_EQ(got, want) << p.name << " trial " << trial;
+    EXPECT_EQ(clips, seed.last_clip_count()) << p.name << " trial " << trial;
+
+    // Rows off the list are never read: saturate them and expect the same.
+    std::vector<std::uint32_t> poisoned = x;
+    for (std::size_t i = 0; i < poisoned.size(); ++i) {
+      if (!en[i]) poisoned[i] = 0xFFFF'FFFFu;
+    }
+    std::vector<std::int64_t> got_poisoned(want.size());
+    std::int64_t clips_poisoned = 0;
+    kernel.mvm(poisoned, active, p.act_bits, got_poisoned.data(),
+               &clips_poisoned);
+    EXPECT_EQ(got_poisoned, want) << p.name << " trial " << trial;
+    EXPECT_EQ(clips_poisoned, clips) << p.name << " trial " << trial;
   }
 }
 
