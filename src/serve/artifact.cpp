@@ -1,10 +1,15 @@
 #include "serve/artifact.hpp"
 
 #include <atomic>
+#include <bit>
+#include <concepts>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <optional>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -37,11 +42,35 @@ std::uint64_t fnv1a(const std::uint8_t* data, std::size_t n) {
 }
 
 // ---------------------------------------------------------------------------
-// Little-endian encoding primitives
+// Little-endian archives
 // ---------------------------------------------------------------------------
+
+/// Largest valid value of each serialized enum; decoding rejects anything
+/// past it.
+constexpr std::tuple kLastEnumerators{
+    RangeScheme::kOverlapWeighted, DesignPolicy::kUniform,
+    PrecisionMode::kHawqMixed, SearchObjective::kEdp, BackendKind::kDatapath};
+
+template <typename E>
+E decode_enum(std::uint32_t raw) {
+  EPIM_CHECK(raw <= static_cast<std::uint32_t>(std::get<E>(kLastEnumerators)),
+             "artifact enum value out of range");
+  return static_cast<E>(raw);
+}
+
+// Writer and Reader encode a field by its type: int -> i32, int64 -> i64,
+// uint64 -> u64, double -> f64, bool -> u8, enum -> u32; strings, vectors
+// and tensors carry a u64 count. Any other type is an aggregate, handed to
+// its fields() template below, so a field of an unlisted scalar type (float,
+// unsigned) fails to compile instead of being converted.
 
 class Writer {
  public:
+  template <class... T>
+  void operator()(const T&... values) {
+    (put(values), ...);
+  }
+
   void u8(std::uint8_t v) { bytes_.push_back(v); }
   void u32(std::uint32_t v) {
     for (int i = 0; i < 4; ++i) bytes_.push_back((v >> (8 * i)) & 0xffu);
@@ -49,24 +78,20 @@ class Writer {
   void u64(std::uint64_t v) {
     for (int i = 0; i < 8; ++i) bytes_.push_back((v >> (8 * i)) & 0xffu);
   }
-  void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    u64(bits);
-  }
-  void f32(float v) {
-    std::uint32_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    u32(bits);
-  }
-  void boolean(bool v) { u8(v ? 1 : 0); }
-  void str(const std::string& s) {
+  const std::vector<std::uint8_t>& bytes() const { return bytes_; }
+  std::vector<std::uint8_t> take() && { return std::move(bytes_); }
+
+ private:
+  void put(int v) { u32(static_cast<std::uint32_t>(v)); }
+  void put(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
+  void put(std::uint64_t v) { u64(v); }
+  void put(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+  void put(bool v) { u8(v ? 1 : 0); }
+  void put(const std::string& s) {
     u64(s.size());
     bytes_.insert(bytes_.end(), s.begin(), s.end());
   }
-  void f32_vec(const std::vector<float>& v) {
+  void put(const std::vector<float>& v) {
     u64(v.size());
     if constexpr (std::endian::native == std::endian::little) {
       // Weight tensors dominate artifact size; bulk-append them instead of
@@ -74,24 +99,30 @@ class Writer {
       const auto* raw = reinterpret_cast<const std::uint8_t*>(v.data());
       bytes_.insert(bytes_.end(), raw, raw + v.size() * sizeof(float));
     } else {
-      for (float x : v) f32(x);
+      for (float x : v) u32(std::bit_cast<std::uint32_t>(x));
     }
   }
-  void i64_vec(const std::vector<std::int64_t>& v) {
+  void put(const std::vector<std::int64_t>& v) {
     u64(v.size());
-    for (std::int64_t x : v) i64(x);
+    for (std::int64_t x : v) put(x);
   }
-  void i32_vec(const std::vector<int>& v) {
+  void put(const std::vector<int>& v) {
     u64(v.size());
-    for (int x : v) i32(x);
+    for (int x : v) put(x);
   }
-  void tensor(const Tensor& t) {
-    i64_vec(t.shape());
-    f32_vec(t.storage());
+  void put(const Tensor& t) {
+    put(t.shape());
+    put(t.storage());
   }
-  const std::vector<std::uint8_t>& bytes() const { return bytes_; }
+  template <class T>
+  void put(const T& v) {
+    if constexpr (std::is_enum_v<T>) {
+      u32(static_cast<std::uint32_t>(v));
+    } else {
+      fields(*this, v);
+    }
+  }
 
- private:
   std::vector<std::uint8_t> bytes_;
 };
 
@@ -99,6 +130,17 @@ class Reader {
  public:
   Reader(const std::uint8_t* data, std::size_t size)
       : data_(data), size_(size) {}
+
+  template <class... T>
+  void operator()(T&... values) {
+    (get(values), ...);
+  }
+  template <class T>
+  T read() {
+    T v{};
+    get(v);
+    return v;
+  }
 
   std::uint8_t u8() {
     need(1);
@@ -126,73 +168,65 @@ class Reader {
     pos_ += 8;
     return v;
   }
-  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-  float f32() {
-    const std::uint32_t bits = u32();
-    float v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-  bool boolean() { return u8() != 0; }
-  std::string str() {
+  /// Read an element count and bounds-check it against the remaining bytes
+  /// before allocating (a corrupted-but-checksummed count must not OOM).
+  std::size_t count(std::uint64_t elem_bytes) {
     const std::uint64_t n = u64();
-    need(n);
-    std::string s(reinterpret_cast<const char*>(data_ + pos_),
-                  static_cast<std::size_t>(n));
-    pos_ += static_cast<std::size_t>(n);
-    return s;
-  }
-  std::vector<float> f32_vec() {
-    const std::uint64_t n = checked_count(4);
-    std::vector<float> v(static_cast<std::size_t>(n));
-    if constexpr (std::endian::native == std::endian::little) {
-      std::memcpy(v.data(), data_ + pos_, v.size() * sizeof(float));
-      pos_ += v.size() * sizeof(float);
-    } else {
-      for (auto& x : v) x = f32();
-    }
-    return v;
-  }
-  std::vector<std::int64_t> i64_vec() {
-    const std::uint64_t n = checked_count(8);
-    std::vector<std::int64_t> v(static_cast<std::size_t>(n));
-    for (auto& x : v) x = i64();
-    return v;
-  }
-  std::vector<int> i32_vec() {
-    const std::uint64_t n = checked_count(4);
-    std::vector<int> v(static_cast<std::size_t>(n));
-    for (auto& x : v) x = i32();
-    return v;
-  }
-  Tensor tensor() {
-    Shape shape = i64_vec();
-    std::vector<float> data = f32_vec();
-    EPIM_CHECK(shape_numel(shape) == static_cast<std::int64_t>(data.size()),
-               "artifact tensor shape/data size mismatch");
-    return Tensor(std::move(shape), std::move(data));
+    EPIM_CHECK(n <= (size_ - pos_) / elem_bytes,
+               "artifact section payload exhausted");
+    return static_cast<std::size_t>(n);
   }
 
   bool exhausted() const { return pos_ == size_; }
 
  private:
+  void get(int& v) { v = static_cast<std::int32_t>(u32()); }
+  void get(std::int64_t& v) { v = static_cast<std::int64_t>(u64()); }
+  void get(std::uint64_t& v) { v = u64(); }
+  void get(double& v) { v = std::bit_cast<double>(u64()); }
+  void get(bool& v) { v = u8() != 0; }
+  void get(std::string& s) {
+    const std::size_t n = count(1);
+    s.assign(reinterpret_cast<const char*>(data_ + pos_), n);
+    pos_ += n;
+  }
+  void get(std::vector<float>& v) {
+    v.resize(count(sizeof(float)));
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(v.data(), data_ + pos_, v.size() * sizeof(float));
+      pos_ += v.size() * sizeof(float);
+    } else {
+      for (float& x : v) x = std::bit_cast<float>(u32());
+    }
+  }
+  void get(std::vector<std::int64_t>& v) {
+    v.resize(count(8));
+    for (std::int64_t& x : v) get(x);
+  }
+  void get(std::vector<int>& v) {
+    v.resize(count(4));
+    for (int& x : v) get(x);
+  }
+  void get(Tensor& t) {
+    Shape shape;
+    std::vector<float> data;
+    get(shape);
+    get(data);
+    EPIM_CHECK(shape_numel(shape) == static_cast<std::int64_t>(data.size()),
+               "artifact tensor shape/data size mismatch");
+    t = Tensor(std::move(shape), std::move(data));
+  }
+  template <class T>
+  void get(T& v) {
+    if constexpr (std::is_enum_v<T>) {
+      v = decode_enum<T>(u32());
+    } else {
+      fields(*this, v);
+    }
+  }
+
   void need(std::uint64_t n) {
     EPIM_CHECK(n <= size_ - pos_, "artifact section payload exhausted");
-  }
-  /// Read an element count and bounds-check it against the remaining bytes
-  /// before allocating (a corrupted-but-checksummed count must not OOM).
-  std::uint64_t checked_count(std::uint64_t elem_bytes) {
-    const std::uint64_t n = u64();
-    EPIM_CHECK(n <= (size_ - pos_) / elem_bytes,
-               "artifact section payload exhausted");
-    return n;
   }
 
   const std::uint8_t* data_;
@@ -200,355 +234,160 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
-/// Decode a serialized enum value, rejecting anything outside [0, max].
-template <typename E>
-E decode_enum(std::uint32_t raw, E max) {
-  EPIM_CHECK(raw <= static_cast<std::uint32_t>(max),
-             "artifact enum value out of range");
-  return static_cast<E>(raw);
-}
-
 // ---------------------------------------------------------------------------
-// Struct codecs (field order is the schema; bump kSchemaVersion on change)
+// Field templates: each is both the writer and the reader, and its field
+// order is the schema.
 // ---------------------------------------------------------------------------
 
-void put_crossbar(Writer& w, const CrossbarConfig& c) {
-  w.i64(c.rows);
-  w.i64(c.cols);
-  w.i32(c.cell_bits);
-  w.i32(c.adc_bits);
-  w.i64(c.adc_share);
-  w.i32(c.fp32_weight_bits);
-  w.i32(c.fp32_act_bits);
+/// `C` is `S` (instantiated by Reader) or `const S` (by Writer).
+template <class C, class S>
+concept FieldsOf = std::same_as<std::remove_const_t<C>, S>;
+
+template <class Ar, FieldsOf<CrossbarConfig> C>
+void fields(Ar& a, C& c) {
+  a(c.rows, c.cols, c.cell_bits, c.adc_bits, c.adc_share, c.fp32_weight_bits,
+    c.fp32_act_bits);
 }
 
-CrossbarConfig get_crossbar(Reader& r) {
-  CrossbarConfig c;
-  c.rows = r.i64();
-  c.cols = r.i64();
-  c.cell_bits = r.i32();
-  c.adc_bits = r.i32();
-  c.adc_share = r.i64();
-  c.fp32_weight_bits = r.i32();
-  c.fp32_act_bits = r.i32();
-  return c;
+template <class Ar, FieldsOf<HardwareLut> C>
+void fields(Ar& a, C& l) {
+  a(l.dac_ns, l.xbar_ns, l.sh_ns, l.adc_ns, l.shift_add_ns, l.index_table_ns,
+    l.joint_add_ns, l.buffer_copy_ns, l.dac_pj, l.cell_pj, l.sh_pj, l.adc_pj,
+    l.shift_add_pj, l.buffer_rd_pj, l.buffer_wr_pj, l.index_table_pj,
+    l.joint_add_pj, l.leakage_mw_per_xbar);
 }
 
-void put_lut(Writer& w, const HardwareLut& l) {
-  for (double v : {l.dac_ns, l.xbar_ns, l.sh_ns, l.adc_ns, l.shift_add_ns,
-                   l.index_table_ns, l.joint_add_ns, l.buffer_copy_ns,
-                   l.dac_pj, l.cell_pj, l.sh_pj, l.adc_pj, l.shift_add_pj,
-                   l.buffer_rd_pj, l.buffer_wr_pj, l.index_table_pj,
-                   l.joint_add_pj, l.leakage_mw_per_xbar}) {
-    w.f64(v);
-  }
+template <class Ar, FieldsOf<NonIdealityConfig> C>
+void fields(Ar& a, C& n) {
+  a(n.conductance_sigma, n.stuck_at_zero_prob, n.stuck_at_max_prob, n.seed);
 }
 
-HardwareLut get_lut(Reader& r) {
-  HardwareLut l;
-  for (double* v : {&l.dac_ns, &l.xbar_ns, &l.sh_ns, &l.adc_ns,
-                    &l.shift_add_ns, &l.index_table_ns, &l.joint_add_ns,
-                    &l.buffer_copy_ns, &l.dac_pj, &l.cell_pj, &l.sh_pj,
-                    &l.adc_pj, &l.shift_add_pj, &l.buffer_rd_pj,
-                    &l.buffer_wr_pj, &l.index_table_pj, &l.joint_add_pj,
-                    &l.leakage_mw_per_xbar}) {
-    *v = r.f64();
-  }
-  return l;
+template <class Ar, FieldsOf<QuantConfig> C>
+void fields(Ar& a, C& q) {
+  a(q.bits, q.scheme, q.w1, q.w2, q.xbar_rows, q.xbar_cols);
 }
 
-void put_non_ideal(Writer& w, const NonIdealityConfig& n) {
-  w.f64(n.conductance_sigma);
-  w.f64(n.stuck_at_zero_prob);
-  w.f64(n.stuck_at_max_prob);
-  w.u64(n.seed);
+template <class Ar, FieldsOf<MixedPrecisionConfig> C>
+void fields(Ar& a, C& m) {
+  a(m.low_bits, m.high_bits, m.budget_fraction, m.quant, m.seed);
 }
 
-NonIdealityConfig get_non_ideal(Reader& r) {
-  NonIdealityConfig n;
-  n.conductance_sigma = r.f64();
-  n.stuck_at_zero_prob = r.f64();
-  n.stuck_at_max_prob = r.f64();
-  n.seed = r.u64();
-  return n;
+template <class Ar, FieldsOf<UniformDesign> C>
+void fields(Ar& a, C& u) {
+  a(u.target_rows, u.target_cout, u.crossbar_size, u.spatial_slack,
+    u.wrap_output, u.skip_small_layers);
 }
 
-void put_quant_config(Writer& w, const QuantConfig& q) {
-  w.i32(q.bits);
-  w.u32(static_cast<std::uint32_t>(q.scheme));
-  w.f64(q.w1);
-  w.f64(q.w2);
-  w.i64(q.xbar_rows);
-  w.i64(q.xbar_cols);
+template <class Ar, FieldsOf<DesignConfig> C>
+void fields(Ar& a, C& d) {
+  a(d.policy, d.uniform, d.wrap_output);
 }
 
-QuantConfig get_quant_config(Reader& r) {
-  QuantConfig q;
-  q.bits = r.i32();
-  q.scheme = decode_enum(r.u32(), RangeScheme::kOverlapWeighted);
-  q.w1 = r.f64();
-  q.w2 = r.f64();
-  q.xbar_rows = r.i64();
-  q.xbar_cols = r.i64();
-  return q;
+template <class Ar, FieldsOf<CandidateConfig> C>
+void fields(Ar& a, C& c) {
+  a(c.row_targets, c.cout_targets, c.crossbar_size, c.spatial_slack,
+    c.wrap_output, c.include_identity);
 }
 
-void put_mixed_config(Writer& w, const MixedPrecisionConfig& m) {
-  w.i32(m.low_bits);
-  w.i32(m.high_bits);
-  w.f64(m.budget_fraction);
-  put_quant_config(w, m.quant);
-  w.u64(m.seed);
+template <class Ar, FieldsOf<PrecisionConfig> C>
+void fields(Ar& a, C& p) {
+  a(p.weight_bits, p.act_bits);
 }
 
-MixedPrecisionConfig get_mixed_config(Reader& r) {
-  MixedPrecisionConfig m;
-  m.low_bits = r.i32();
-  m.high_bits = r.i32();
-  m.budget_fraction = r.f64();
-  m.quant = get_quant_config(r);
-  m.seed = r.u64();
-  return m;
+template <class Ar, FieldsOf<PipelineConfig> C>
+void fields(Ar& a, C& c) {
+  a(c.hardware.crossbar, c.hardware.lut, c.hardware.deploy_adc_bits);
+  a(c.design);
+  a(c.precision.mode, c.precision.weight_bits, c.precision.act_bits,
+    c.precision.mixed);
+  a(c.quant);
+  auto& evo = c.search.evo;
+  a(c.search.enabled, evo.population, evo.iterations, evo.parents,
+    evo.mutation_rate, evo.objective, evo.crossbar_budget, evo.candidates,
+    evo.precision, evo.seed);
+  a(c.deploy.weight_bits, c.deploy.act_bits, c.deploy.act_percentile,
+    c.deploy.non_ideal);
+  // ServeConfig, one field per line: the schema v6 layout.
+  a(c.serve.max_batch);
+  a(c.serve.flush_deadline_ms);
+  a(c.serve.workers);
+  a(c.serve.max_queue);
+  a(c.serve.max_workers);
+  a(c.serve.reslice_bursts);
+  a(c.anchors.model, c.anchors.conv_fp32, c.anchors.epitome_fp32,
+    c.anchors.penalty_scale, c.anchors.prune_penalty_scale);
+  a(c.backend, c.seed);
 }
 
-void put_uniform_design(Writer& w, const UniformDesign& u) {
-  w.i64(u.target_rows);
-  w.i64(u.target_cout);
-  w.i64(u.crossbar_size);
-  w.i64(u.spatial_slack);
-  w.boolean(u.wrap_output);
-  w.boolean(u.skip_small_layers);
+template <class Ar, FieldsOf<ConvSpec> C>
+void fields(Ar& a, C& c) {
+  a(c.in_channels, c.out_channels, c.kernel_h, c.kernel_w, c.stride, c.pad);
 }
 
-UniformDesign get_uniform_design(Reader& r) {
-  UniformDesign u;
-  u.target_rows = r.i64();
-  u.target_cout = r.i64();
-  u.crossbar_size = r.i64();
-  u.spatial_slack = r.i64();
-  u.wrap_output = r.boolean();
-  u.skip_small_layers = r.boolean();
-  return u;
+template <class Ar, FieldsOf<ConvLayerInfo> C>
+void fields(Ar& a, C& l) {
+  a(l.name, l.conv, l.ifm_h, l.ifm_w);
 }
 
-void put_design(Writer& w, const DesignConfig& d) {
-  w.u32(static_cast<std::uint32_t>(d.policy));
-  put_uniform_design(w, d.uniform);
-  w.boolean(d.wrap_output);
+template <class Ar, FieldsOf<FcLayerInfo> C>
+void fields(Ar& a, C& f) {
+  a(f.name, f.in_features, f.out_features);
 }
 
-DesignConfig get_design(Reader& r) {
-  DesignConfig d;
-  d.policy = decode_enum(r.u32(), DesignPolicy::kUniform);
-  d.uniform = get_uniform_design(r);
-  d.wrap_output = r.boolean();
-  return d;
+template <class Ar, FieldsOf<EpitomeSpec> C>
+void fields(Ar& a, C& s) {
+  a(s.p, s.q, s.cin_e, s.cout_e, s.offset_stride, s.wrap_output);
 }
 
-void put_candidates(Writer& w, const CandidateConfig& c) {
-  w.i64_vec(c.row_targets);
-  w.i64_vec(c.cout_targets);
-  w.i64(c.crossbar_size);
-  w.i64(c.spatial_slack);
-  w.boolean(c.wrap_output);
-  w.boolean(c.include_identity);
+template <class Ar, FieldsOf<ChannelAffine> C>
+void fields(Ar& a, C& x) {
+  a(x.scale, x.shift);
+  EPIM_CHECK(x.scale.size() == x.shift.size(),
+             "artifact affine scale/shift size mismatch");
 }
 
-CandidateConfig get_candidates(Reader& r) {
-  CandidateConfig c;
-  c.row_targets = r.i64_vec();
-  c.cout_targets = r.i64_vec();
-  c.crossbar_size = r.i64();
-  c.spatial_slack = r.i64();
-  c.wrap_output = r.boolean();
-  c.include_identity = r.boolean();
-  return c;
+template <class Ar, FieldsOf<QuantParams> C>
+void fields(Ar& a, C& p) {
+  a(p.scale, p.zero_point, p.bits);
 }
 
-void put_precision_config(Writer& w, const PrecisionConfig& p) {
-  w.i32_vec(p.weight_bits);
-  w.i32(p.act_bits);
+template <class Ar, FieldsOf<RuntimeConfig> C>
+void fields(Ar& a, C& c) {
+  a(c.weight_bits, c.act_bits, c.act_percentile, c.crossbar, c.non_ideal);
 }
 
-PrecisionConfig get_precision_config(Reader& r) {
-  PrecisionConfig p;
-  p.weight_bits = r.i32_vec();
-  p.act_bits = r.i32();
-  return p;
+template <class Ar, FieldsOf<SmallNetConfig> C>
+void fields(Ar& a, C& c) {
+  a(c.num_classes, c.image_size, c.in_channels, c.use_epitome, c.wrap_output,
+    c.seed);
 }
 
-void put_pipeline_config(Writer& w, const PipelineConfig& c) {
-  put_crossbar(w, c.hardware.crossbar);
-  put_lut(w, c.hardware.lut);
-  w.i32(c.hardware.deploy_adc_bits);
-  put_design(w, c.design);
-  w.u32(static_cast<std::uint32_t>(c.precision.mode));
-  w.i32(c.precision.weight_bits);
-  w.i32(c.precision.act_bits);
-  put_mixed_config(w, c.precision.mixed);
-  put_quant_config(w, c.quant);
-  w.boolean(c.search.enabled);
-  w.i32(c.search.evo.population);
-  w.i32(c.search.evo.iterations);
-  w.i32(c.search.evo.parents);
-  w.f64(c.search.evo.mutation_rate);
-  w.u32(static_cast<std::uint32_t>(c.search.evo.objective));
-  w.i64(c.search.evo.crossbar_budget);
-  put_candidates(w, c.search.evo.candidates);
-  put_precision_config(w, c.search.evo.precision);
-  w.u64(c.search.evo.seed);
-  w.i32(c.deploy.weight_bits);
-  w.i32(c.deploy.act_bits);
-  w.f64(c.deploy.act_percentile);
-  put_non_ideal(w, c.deploy.non_ideal);
-  w.i32(c.serve.max_batch);
-  w.f64(c.serve.flush_deadline_ms);
-  w.i32(c.serve.workers);
-  w.i32(c.serve.max_queue);
-  // Scheduler knobs (SLA-aware scheduling core). This field order is the
-  // schema v6 layout; the codec is positional, so a payload of any other
-  // version cannot be decoded and is rejected by the version check.
-  w.i32(c.serve.max_workers);
-  w.boolean(c.serve.reslice_bursts);
-  w.str(c.anchors.model);
-  w.f64(c.anchors.conv_fp32);
-  w.f64(c.anchors.epitome_fp32);
-  w.f64(c.anchors.penalty_scale);
-  w.f64(c.anchors.prune_penalty_scale);
-  w.u32(static_cast<std::uint32_t>(c.backend));
-  w.u64(c.seed);
-}
-
-PipelineConfig get_pipeline_config(Reader& r) {
-  PipelineConfig c;
-  c.hardware.crossbar = get_crossbar(r);
-  c.hardware.lut = get_lut(r);
-  c.hardware.deploy_adc_bits = r.i32();
-  c.design = get_design(r);
-  c.precision.mode = decode_enum(r.u32(), PrecisionMode::kHawqMixed);
-  c.precision.weight_bits = r.i32();
-  c.precision.act_bits = r.i32();
-  c.precision.mixed = get_mixed_config(r);
-  c.quant = get_quant_config(r);
-  c.search.enabled = r.boolean();
-  c.search.evo.population = r.i32();
-  c.search.evo.iterations = r.i32();
-  c.search.evo.parents = r.i32();
-  c.search.evo.mutation_rate = r.f64();
-  c.search.evo.objective = decode_enum(r.u32(), SearchObjective::kEdp);
-  c.search.evo.crossbar_budget = r.i64();
-  c.search.evo.candidates = get_candidates(r);
-  c.search.evo.precision = get_precision_config(r);
-  c.search.evo.seed = r.u64();
-  c.deploy.weight_bits = r.i32();
-  c.deploy.act_bits = r.i32();
-  c.deploy.act_percentile = r.f64();
-  c.deploy.non_ideal = get_non_ideal(r);
-  c.serve.max_batch = r.i32();
-  c.serve.flush_deadline_ms = r.f64();
-  c.serve.workers = r.i32();
-  c.serve.max_queue = r.i32();
-  // Scheduler knobs (see the writer's matching comment).
-  c.serve.max_workers = r.i32();
-  c.serve.reslice_bursts = r.boolean();
-  c.anchors.model = r.str();
-  c.anchors.conv_fp32 = r.f64();
-  c.anchors.epitome_fp32 = r.f64();
-  c.anchors.penalty_scale = r.f64();
-  c.anchors.prune_penalty_scale = r.f64();
-  c.backend = decode_enum(r.u32(), BackendKind::kDatapath);
-  c.seed = r.u64();
-  return c;
-}
-
-void put_conv_spec(Writer& w, const ConvSpec& c) {
-  w.i64(c.in_channels);
-  w.i64(c.out_channels);
-  w.i64(c.kernel_h);
-  w.i64(c.kernel_w);
-  w.i64(c.stride);
-  w.i64(c.pad);
-}
-
-ConvSpec get_conv_spec(Reader& r) {
-  ConvSpec c;
-  c.in_channels = r.i64();
-  c.out_channels = r.i64();
-  c.kernel_h = r.i64();
-  c.kernel_w = r.i64();
-  c.stride = r.i64();
-  c.pad = r.i64();
-  return c;
-}
+// Types built through constructors keep a separate read side.
 
 void put_network(Writer& w, const Network& net) {
-  w.str(net.name());
-  w.u64(static_cast<std::uint64_t>(net.num_conv_layers()));
-  for (const ConvLayerInfo& layer : net.conv_layers()) {
-    w.str(layer.name);
-    put_conv_spec(w, layer.conv);
-    w.i64(layer.ifm_h);
-    w.i64(layer.ifm_w);
-  }
-  w.boolean(net.has_fc());
-  if (net.has_fc()) {
-    w.str(net.fc().name);
-    w.i64(net.fc().in_features);
-    w.i64(net.fc().out_features);
-  }
+  w(net.name(), static_cast<std::uint64_t>(net.num_conv_layers()));
+  for (const ConvLayerInfo& layer : net.conv_layers()) w(layer);
+  w(net.has_fc());
+  if (net.has_fc()) w(net.fc());
 }
 
 Network get_network(Reader& r) {
-  Network net(r.str());
-  const std::uint64_t n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    ConvLayerInfo layer;
-    layer.name = r.str();
-    layer.conv = get_conv_spec(r);
-    layer.ifm_h = r.i64();
-    layer.ifm_w = r.i64();
-    net.add_conv(std::move(layer));
+  Network net(r.read<std::string>());
+  for (std::size_t n = r.count(1); n > 0; --n) {
+    net.add_conv(r.read<ConvLayerInfo>());
   }
-  if (r.boolean()) {
-    FcLayerInfo fc;
-    fc.name = r.str();
-    fc.in_features = r.i64();
-    fc.out_features = r.i64();
-    net.set_fc(std::move(fc));
-  }
+  if (r.read<bool>()) net.set_fc(r.read<FcLayerInfo>());
   return net;
 }
 
-void put_epitome_spec(Writer& w, const EpitomeSpec& s) {
-  w.i64(s.p);
-  w.i64(s.q);
-  w.i64(s.cin_e);
-  w.i64(s.cout_e);
-  w.i64(s.offset_stride);
-  w.boolean(s.wrap_output);
-}
-
-EpitomeSpec get_epitome_spec(Reader& r) {
-  EpitomeSpec s;
-  s.p = r.i64();
-  s.q = r.i64();
-  s.cin_e = r.i64();
-  s.cout_e = r.i64();
-  s.offset_stride = r.i64();
-  s.wrap_output = r.boolean();
-  return s;
-}
-
 void put_epitome(Writer& w, const Epitome& e) {
-  put_epitome_spec(w, e.spec());
-  put_conv_spec(w, e.conv());
-  w.tensor(e.weights());
+  w(e.spec(), e.conv(), e.weights());
 }
 
 Epitome get_epitome(Reader& r) {
-  const EpitomeSpec spec = get_epitome_spec(r);
-  const ConvSpec conv = get_conv_spec(r);
-  Tensor weights = r.tensor();
+  const auto spec = r.read<EpitomeSpec>();
+  const auto conv = r.read<ConvSpec>();
+  Tensor weights = r.read<Tensor>();
   Epitome e(spec, conv);
   EPIM_CHECK(weights.shape() == e.weights().shape(),
              "artifact epitome weight shape mismatch");
@@ -556,103 +395,45 @@ Epitome get_epitome(Reader& r) {
   return e;
 }
 
-void put_affine(Writer& w, const ChannelAffine& a) {
-  w.f32_vec(a.scale);
-  w.f32_vec(a.shift);
-}
-
-ChannelAffine get_affine(Reader& r) {
-  ChannelAffine a;
-  a.scale = r.f32_vec();
-  a.shift = r.f32_vec();
-  EPIM_CHECK(a.scale.size() == a.shift.size(),
-             "artifact affine scale/shift size mismatch");
-  return a;
-}
-
-void put_quant_params(Writer& w, const QuantParams& p) {
-  w.f64(p.scale);
-  w.i64(p.zero_point);
-  w.i32(p.bits);
-}
-
-QuantParams get_quant_params(Reader& r) {
-  QuantParams p;
-  p.scale = r.f64();
-  p.zero_point = r.i64();
-  p.bits = r.i32();
-  return p;
-}
-
-void put_runtime_config(Writer& w, const RuntimeConfig& c) {
-  w.i32(c.weight_bits);
-  w.i32(c.act_bits);
-  w.f64(c.act_percentile);
-  put_crossbar(w, c.crossbar);
-  put_non_ideal(w, c.non_ideal);
-}
-
-RuntimeConfig get_runtime_config(Reader& r) {
-  RuntimeConfig c;
-  c.weight_bits = r.i32();
-  c.act_bits = r.i32();
-  c.act_percentile = r.f64();
-  c.crossbar = get_crossbar(r);
-  c.non_ideal = get_non_ideal(r);
-  return c;
-}
-
-void put_small_net_config(Writer& w, const SmallNetConfig& c) {
-  w.i32(c.num_classes);
-  w.i64(c.image_size);
-  w.i64(c.in_channels);
-  w.boolean(c.use_epitome);
-  w.boolean(c.wrap_output);
-  w.u64(c.seed);
-}
-
-SmallNetConfig get_small_net_config(Reader& r) {
-  SmallNetConfig c;
-  c.num_classes = r.i32();
-  c.image_size = r.i64();
-  c.in_channels = r.i64();
-  c.use_epitome = r.boolean();
-  c.wrap_output = r.boolean();
-  c.seed = r.u64();
-  return c;
-}
-
 void put_deploy_state(Writer& w, const SmallEpitomeNet::Deploy& d) {
-  put_small_net_config(w, d.config);
-  put_epitome(w, d.block1);
-  put_epitome(w, d.block2);
-  put_epitome(w, d.block3);
-  put_affine(w, d.bn1);
-  put_affine(w, d.bn2);
-  put_affine(w, d.bn3);
-  w.tensor(d.dense_w);
-  w.tensor(d.dense_b);
+  w(d.config);
+  for (const Epitome* e : {&d.block1, &d.block2, &d.block3}) put_epitome(w, *e);
+  w(d.bn1, d.bn2, d.bn3, d.dense_w, d.dense_b);
 }
 
 SmallEpitomeNet::Deploy get_deploy_state(Reader& r) {
-  SmallNetConfig config = get_small_net_config(r);
-  Epitome b1 = get_epitome(r);
-  Epitome b2 = get_epitome(r);
-  Epitome b3 = get_epitome(r);
-  ChannelAffine bn1 = get_affine(r);
-  ChannelAffine bn2 = get_affine(r);
-  ChannelAffine bn3 = get_affine(r);
-  Tensor dense_w = r.tensor();
-  Tensor dense_b = r.tensor();
-  return SmallEpitomeNet::Deploy{config,
-                                 std::move(b1),
-                                 std::move(b2),
-                                 std::move(b3),
-                                 std::move(bn1),
-                                 std::move(bn2),
-                                 std::move(bn3),
-                                 std::move(dense_w),
-                                 std::move(dense_b)};
+  // A braced initializer evaluates left to right: this is the field order.
+  return SmallEpitomeNet::Deploy{
+      r.read<SmallNetConfig>(), get_epitome(r), get_epitome(r), get_epitome(r),
+      r.read<ChannelAffine>(), r.read<ChannelAffine>(), r.read<ChannelAffine>(),
+      r.read<Tensor>(), r.read<Tensor>()};
+}
+
+/// The assign section: per-layer epitome choices plus the searched flag.
+struct StoredAssignment {
+  std::vector<std::optional<EpitomeSpec>> choices;
+  bool searched = false;
+};
+
+void put_assignment(Writer& w, const NetworkAssignment& a, bool searched) {
+  w(static_cast<std::uint64_t>(a.num_layers()));
+  for (std::int64_t i = 0; i < a.num_layers(); ++i) {
+    const auto& choice = a.choice(i);
+    w(choice.has_value());
+    if (choice.has_value()) w(*choice);
+  }
+  w(searched);
+}
+
+StoredAssignment get_assignment(Reader& r) {
+  StoredAssignment a;
+  // At least one byte (the has-choice flag) per layer.
+  a.choices.resize(r.count(1));
+  for (std::optional<EpitomeSpec>& choice : a.choices) {
+    if (r.read<bool>()) choice = r.read<EpitomeSpec>();
+  }
+  r(a.searched);
+  return a;
 }
 
 // ---------------------------------------------------------------------------
@@ -664,8 +445,16 @@ struct Section {
   std::vector<std::uint8_t> payload;
 };
 
+/// One section whose payload is `values` encoded back to back.
+template <class... T>
+Section encode(const char* tag, const T&... values) {
+  Writer w;
+  w(values...);
+  return {tag, std::move(w).take()};
+}
+
 void write_container(const std::string& path, artifact::Kind kind,
-                     const std::vector<Section>& sections) {
+                     std::initializer_list<Section> sections) {
   // Atomic save: stream into a same-directory temp file, then rename over
   // the destination. A crash (or an armed artifact.write fault) mid-save
   // can therefore never leave a truncated container at `path` -- readers
@@ -786,6 +575,22 @@ class Container {
     throw InternalError("unreachable");
   }
 
+  /// Decode the section tagged `tag` with `get(Reader&)`. A fully-decoded
+  /// section must have no bytes left: a checksummed-but-longer payload means
+  /// the writer's schema drifted past this reader's.
+  template <class T, class F>
+  T decode(const char* tag, F get) const {
+    Reader r = reader(tag);
+    T value = get(r);
+    EPIM_CHECK(r.exhausted(), std::string("artifact section '") + tag +
+                                  "' has trailing bytes");
+    return value;
+  }
+  template <class T>
+  T decode(const char* tag) const {
+    return decode<T>(tag, [](Reader& r) { return r.read<T>(); });
+  }
+
  private:
   struct SectionView {
     std::string tag;  ///< NUL padding stripped
@@ -842,13 +647,6 @@ class Container {
   std::vector<SectionView> sections_;
 };
 
-/// A fully-decoded section must have no bytes left: a checksummed-but-longer
-/// payload means the writer's schema drifted past this reader's.
-void expect_exhausted(const Reader& r, const char* tag) {
-  EPIM_CHECK(r.exhausted(), std::string("artifact section '") + tag +
-                                "' has trailing bytes");
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -857,72 +655,26 @@ void expect_exhausted(const Reader& r, const char* tag) {
 
 void ArtifactCodec::save_compiled(const CompiledModel& model,
                                   const std::string& path) {
-  std::vector<Section> sections;
-  {
-    Writer w;
-    put_pipeline_config(w, *model.config_);
-    sections.push_back({"pipecfg", w.bytes()});
-  }
-  {
-    Writer w;
-    put_design(w, model.design_);
-    sections.push_back({"design", w.bytes()});
-  }
-  {
-    Writer w;
-    put_network(w, *model.net_);
-    sections.push_back({"network", w.bytes()});
-  }
-  {
-    Writer w;
-    const NetworkAssignment& a = model.assignment_;
-    w.u64(static_cast<std::uint64_t>(a.num_layers()));
-    for (std::int64_t i = 0; i < a.num_layers(); ++i) {
-      const auto& choice = a.choice(i);
-      w.boolean(choice.has_value());
-      if (choice.has_value()) put_epitome_spec(w, *choice);
-    }
-    w.boolean(model.searched_);
-    sections.push_back({"assign", w.bytes()});
-  }
-  {
-    Writer w;
-    put_precision_config(w, model.precision_);
-    sections.push_back({"precis", w.bytes()});
-  }
-  write_container(path, artifact::Kind::kCompiledModel, sections);
+  Writer network;
+  put_network(network, *model.net_);
+  Writer assign;
+  put_assignment(assign, model.assignment_, model.searched_);
+  write_container(path, artifact::Kind::kCompiledModel,
+                  {encode("pipecfg", *model.config_),
+                   encode("design", model.design_),
+                   {"network", std::move(network).take()},
+                   {"assign", std::move(assign).take()},
+                   encode("precis", model.precision_)});
 }
 
 CompiledModel ArtifactCodec::load_compiled(const std::string& path) {
   Container container(path, artifact::Kind::kCompiledModel);
-
-  Reader cfg_r = container.reader("pipecfg");
-  const PipelineConfig cfg = get_pipeline_config(cfg_r);
-  expect_exhausted(cfg_r, "pipecfg");
-  Reader design_r = container.reader("design");
-  const DesignConfig design = get_design(design_r);
-  expect_exhausted(design_r, "design");
-  Reader net_r = container.reader("network");
-  const Network net = get_network(net_r);
-  expect_exhausted(net_r, "network");
-
-  Reader assign_r = container.reader("assign");
-  const std::uint64_t n_layers = assign_r.u64();
-  std::vector<std::optional<EpitomeSpec>> choices;
-  choices.reserve(static_cast<std::size_t>(n_layers));
-  for (std::uint64_t i = 0; i < n_layers; ++i) {
-    if (assign_r.boolean()) {
-      choices.push_back(get_epitome_spec(assign_r));
-    } else {
-      choices.push_back(std::nullopt);
-    }
-  }
-  const bool searched = assign_r.boolean();
-  expect_exhausted(assign_r, "assign");
-
-  Reader precis_r = container.reader("precis");
-  const PrecisionConfig stored_precision = get_precision_config(precis_r);
-  expect_exhausted(precis_r, "precis");
+  const auto cfg = container.decode<PipelineConfig>("pipecfg");
+  const auto design = container.decode<DesignConfig>("design");
+  const auto net = container.decode<Network>("network", get_network);
+  const auto stored =
+      container.decode<StoredAssignment>("assign", get_assignment);
+  const auto stored_precision = container.decode<PrecisionConfig>("precis");
 
   // Rebuild the pipeline (validates the config, constructs backend +
   // estimator) and compile under the stored design, then overwrite the
@@ -930,13 +682,14 @@ CompiledModel ArtifactCodec::load_compiled(const std::string& path) {
   // search() refinement the design policy alone would not reproduce).
   Pipeline pipeline(cfg);
   CompiledModel model = pipeline.compile(net, design);
-  EPIM_CHECK(static_cast<std::int64_t>(n_layers) ==
+  EPIM_CHECK(static_cast<std::int64_t>(stored.choices.size()) ==
                  model.assignment_.num_layers(),
              "artifact assignment layer count mismatch");
   for (std::int64_t i = 0; i < model.assignment_.num_layers(); ++i) {
-    model.assignment_.set_choice(i, choices[static_cast<std::size_t>(i)]);
+    model.assignment_.set_choice(i,
+                                 stored.choices[static_cast<std::size_t>(i)]);
   }
-  model.searched_ = searched;
+  model.searched_ = stored.searched;
   model.resolve_precision();
   model.estimate_cache_.reset();
   // Precision is re-resolved deterministically from the assignment; the
@@ -950,39 +703,28 @@ CompiledModel ArtifactCodec::load_compiled(const std::string& path) {
 void ArtifactCodec::save_deployed(const DeployedModel& model,
                                   const std::string& path) {
   const PimNetworkRuntime& runtime = *model.runtime_;
-  std::vector<Section> sections;
-  {
-    Writer w;
-    put_runtime_config(w, runtime.config());
-    sections.push_back({"runcfg", w.bytes()});
-  }
-  {
-    Writer w;
-    put_deploy_state(w, runtime.deploy_state());
-    sections.push_back({"model", w.bytes()});
-  }
-  {
-    Writer w;
-    for (const QuantParams& p : runtime.activation_params()) {
-      put_quant_params(w, p);
-    }
-    sections.push_back({"actq", w.bytes()});
-  }
-  write_container(path, artifact::Kind::kDeployedModel, sections);
+  Writer deploy;
+  put_deploy_state(deploy, runtime.deploy_state());
+  Writer actq;
+  for (const QuantParams& p : runtime.activation_params()) actq(p);
+  write_container(path, artifact::Kind::kDeployedModel,
+                  {encode("runcfg", runtime.config()),
+                   {"model", std::move(deploy).take()},
+                   {"actq", std::move(actq).take()}});
 }
 
 DeployedModel ArtifactCodec::load_deployed(const std::string& path) {
+  using ActivationParams = PimNetworkRuntime::ActivationParams;
   Container container(path, artifact::Kind::kDeployedModel);
-  Reader cfg_r = container.reader("runcfg");
-  const RuntimeConfig config = get_runtime_config(cfg_r);
-  expect_exhausted(cfg_r, "runcfg");
-  Reader model_r = container.reader("model");
-  SmallEpitomeNet::Deploy deploy = get_deploy_state(model_r);
-  expect_exhausted(model_r, "model");
-  Reader actq_r = container.reader("actq");
-  PimNetworkRuntime::ActivationParams act_params;
-  for (QuantParams& p : act_params) p = get_quant_params(actq_r);
-  expect_exhausted(actq_r, "actq");
+  const auto config = container.decode<RuntimeConfig>("runcfg");
+  auto deploy =
+      container.decode<SmallEpitomeNet::Deploy>("model", get_deploy_state);
+  const auto act_params =
+      container.decode<ActivationParams>("actq", [](Reader& r) {
+        ActivationParams params;
+        for (QuantParams& p : params) r(p);
+        return params;
+      });
 
   auto runtime = std::make_unique<PimNetworkRuntime>(std::move(deploy),
                                                      act_params, config);
@@ -1016,22 +758,6 @@ Info probe(const std::string& path) {
              kErrBadKind);
   info.kind = static_cast<Kind>(kind);
   return info;
-}
-
-void save(const CompiledModel& model, const std::string& path) {
-  ArtifactCodec::save_compiled(model, path);
-}
-
-void save(const DeployedModel& model, const std::string& path) {
-  ArtifactCodec::save_deployed(model, path);
-}
-
-CompiledModel load_compiled(const std::string& path) {
-  return ArtifactCodec::load_compiled(path);
-}
-
-DeployedModel load_deployed(const std::string& path) {
-  return ArtifactCodec::load_deployed(path);
 }
 
 }  // namespace artifact

@@ -19,11 +19,13 @@
 //     checksum u64 FNV-1a over the payload
 //     payload  size bytes
 //
-// load() verifies magic, version, kind and the section table up front;
-// truncation, foreign files, future versions and bit corruption are all
-// rejected with distinct InvalidArgument messages (see kErr* below, pinned
-// by tests/test_serve.cpp). load_*() reads the whole file in one sized read
-// and verifies every section's checksum before decoding a byte.
+// CompiledModel::save() / DeployedModel::save() write an artifact;
+// Pipeline::load() / Pipeline::load_deployed() verify magic, version, kind
+// and the section table up front. Truncation, foreign files, future
+// versions and bit corruption are all rejected with distinct
+// InvalidArgument messages (see kErr* below, pinned by
+// tests/test_serve.cpp). Both loaders read the whole file in one sized read
+// and verify every section's checksum before decoding a byte.
 //
 // Determinism contract: loading re-resolves the precision plan and
 // re-programs the crossbars (non-ideality draws are re-seeded from the
@@ -42,8 +44,8 @@ class DeployedModel;
 
 namespace artifact {
 
-/// Schema version written by save(); load() rejects anything else (the
-/// codec reads fields positionally, so older payloads cannot be decoded
+/// Schema version the save() calls write; the loaders reject anything else
+/// (the codec reads fields positionally, so older payloads cannot be decoded
 /// either -- they fail with a clean version error, never a misparse).
 /// History: v1 = first format; v2 = ServeConfig gained a latency-window
 /// size and max_queue; v3 = ServeConfig gained workers (continuous-batching
@@ -79,22 +81,6 @@ struct Info {
   Kind kind = Kind::kCompiledModel;
 };
 Info probe(const std::string& path);
-
-/// Serialize a compiled model (topology + assignment + precision plan +
-/// full PipelineConfig) to `path`. Overwrites any existing file.
-void save(const CompiledModel& model, const std::string& path);
-
-/// Serialize a deployed model (quantized weights, folded BatchNorms, dense
-/// head, calibrated activation quantizers, RuntimeConfig) to `path`.
-void save(const DeployedModel& model, const std::string& path);
-
-/// Load a compiled-model artifact. The embedded PipelineConfig rebuilds the
-/// backend/estimator, so the result is self-contained.
-CompiledModel load_compiled(const std::string& path);
-
-/// Load a deployed-model artifact and re-program the crossbars; the result
-/// answers forward()/evaluate() bit-identically to the saved model.
-DeployedModel load_deployed(const std::string& path);
 
 }  // namespace artifact
 

@@ -496,6 +496,136 @@ TEST(ArtifactErrors, LoadersRejectDirectoriesWithPinnedMessage) {
   EXPECT_THROW(artifact::probe(dir), InvalidArgument);
 }
 
+// ---- on-disk bytes (section payloads pinned) ----
+
+std::uint64_t fnv1a(const char* data, std::size_t n) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= static_cast<unsigned char>(data[i]);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+std::uint64_t read_u64(const std::vector<char>& bytes, std::size_t at) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < 8; ++i) {
+    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes[at + i]))
+         << (8 * i);
+  }
+  return v;
+}
+
+void write_u64(std::vector<char>& bytes, std::size_t at, std::uint64_t v) {
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[at + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+}
+
+/// One section of a well-formed container: its tag and where its size field
+/// and payload sit in the file.
+struct SectionAt {
+  std::string tag;
+  std::size_t size_at = 0;
+  std::size_t payload_at = 0;
+  std::uint64_t size = 0;
+};
+
+std::vector<SectionAt> sections_of(const std::vector<char>& bytes) {
+  std::vector<SectionAt> sections;
+  std::size_t pos = 20;  // magic, version, kind, section count
+  while (pos < bytes.size()) {
+    SectionAt s;
+    for (std::size_t i = 0; i < 8 && bytes[pos + i] != '\0'; ++i) {
+      s.tag.push_back(bytes[pos + i]);
+    }
+    s.size_at = pos + 8;
+    s.payload_at = pos + 24;  // tag, size, checksum
+    s.size = read_u64(bytes, s.size_at);
+    sections.push_back(s);
+    pos = s.payload_at + static_cast<std::size_t>(s.size);
+  }
+  return sections;
+}
+
+using SectionPins = std::vector<std::pair<std::string, std::uint64_t>>;
+
+/// (tag, FNV-1a of the payload) for every section, in file order.
+SectionPins section_pins(const std::string& path) {
+  const std::vector<char> bytes = slurp(path);
+  SectionPins pins;
+  for (const SectionAt& s : sections_of(bytes)) {
+    pins.emplace_back(s.tag, fnv1a(bytes.data() + s.payload_at,
+                                   static_cast<std::size_t>(s.size)));
+  }
+  return pins;
+}
+
+// Round-trips cannot see an encoding change that decodes back to the same
+// values; these pins can. Every constant was recorded from schema v6 files,
+// so a codec rewrite that passes them writes byte-identical artifacts.
+TEST(ArtifactBytes, DefaultResNet18CompiledSectionsArePinned) {
+  const std::string path = temp_path("pinned_resnet18.epim");
+  Pipeline{PipelineConfig{}}.compile(resnet18()).save(path);
+  EXPECT_EQ(section_pins(path), (SectionPins{
+                                    {"pipecfg", 0xbb4b6765301b7a8dull},
+                                    {"design", 0x9818828c9fa5824full},
+                                    {"network", 0xbb9b49ce86576db4ull},
+                                    {"assign", 0x8f3f7b0e4a754427ull},
+                                    {"precis", 0xb022fcf7a8704634ull},
+                                }));
+  std::remove(path.c_str());
+}
+
+TEST(ArtifactBytes, RandomConfigCompiledSectionsArePinned) {
+  Rng rng(0xA27'1FAC7u);  // the property test's first draw
+  const PipelineConfig cfg = random_config(rng);
+  const std::string path = temp_path("pinned_random.epim");
+  Pipeline(cfg).compile(mini_resnet()).save(path);
+  EXPECT_EQ(section_pins(path), (SectionPins{
+                                    {"pipecfg", 0x29897891dda4d4abull},
+                                    {"design", 0xf93fff16fc525220ull},
+                                    {"network", 0x8029f9ab1a8b65bcull},
+                                    {"assign", 0x040fe9833d3ae914ull},
+                                    {"precis", 0x3637aad213400290ull},
+                                }));
+  std::remove(path.c_str());
+}
+
+TEST(ArtifactBytes, DeployedSectionsArePinned) {
+  DeployedFixture& fx = DeployedFixture::instance();
+  PipelineConfig cfg;
+  cfg.precision = PrecisionPlan::uniform(6, 8);
+  const std::string path = temp_path("pinned_deployed.epim");
+  Pipeline(cfg).deploy(fx.net, fx.data.train).save(path);
+  EXPECT_EQ(section_pins(path), (SectionPins{
+                                    {"runcfg", 0x70b9f6a8d8e2b20eull},
+                                    {"model", 0x02b10ae1f12d09bbull},
+                                    {"actq", 0xf3b0a7ee7de4c78eull},
+                                }));
+  std::remove(path.c_str());
+}
+
+TEST_F(CorruptionFixture, RejectsForgedAssignmentLayerCount) {
+  // A layer count far past the payload, under a valid checksum, must fail
+  // the bounded-count check -- never reach an allocation sized by it.
+  const std::vector<char> bytes = slurp(good);
+  for (const std::uint64_t forged : {std::uint64_t{1} << 40,
+                                     std::uint64_t{1} << 62}) {
+    SCOPED_TRACE("count " + std::to_string(forged));
+    std::vector<char> corrupt = bytes;
+    for (const SectionAt& s : sections_of(corrupt)) {
+      if (s.tag != "assign") continue;
+      write_u64(corrupt, s.payload_at, forged);  // the leading layer count
+      write_u64(corrupt, s.size_at + 8,  // the checksum follows the size
+                fnv1a(corrupt.data() + s.payload_at,
+                      static_cast<std::size_t>(s.size)));
+    }
+    dump(bad, corrupt);
+    expect_load_error(bad, "artifact section payload exhausted");
+  }
+}
+
 // ---- InferenceService ----
 
 TEST(InferenceService, ConfigIsValidated) {

@@ -29,14 +29,16 @@ Rules (each with its rationale):
                   macro's own implementation in common/error.cpp is the one
                   allowed raw-throw site.)
 
-  schema-sync     Every ServeConfig field in pipeline_config.hpp appears in
-                  the positional .epim codec in src/serve/artifact.cpp (as
-                  `.serve.<field>`, written and read), and artifact.cpp
-                  cites the CURRENT artifact.hpp kSchemaVersion in a
-                  "schema v<N>" comment next to the codec. Adding a config
-                  knob without appending codec lines truncates round-trips;
-                  appending codec lines without bumping (and citing)
-                  kSchemaVersion lets old readers misparse new artifacts.
+  schema-sync     Every ServeConfig field in pipeline_config.hpp appears
+                  (as `.serve.<field>`, outside comments) in the
+                  PipelineConfig field template of the positional .epim
+                  codec in src/serve/artifact.cpp -- one template both
+                  writes and reads it -- and artifact.cpp cites the CURRENT
+                  artifact.hpp kSchemaVersion in a "schema v<N>" comment
+                  next to the codec. Adding a config knob without appending
+                  a codec line truncates round-trips; appending codec lines
+                  without bumping (and citing) kSchemaVersion lets old
+                  readers misparse new artifacts.
 
   include-cycle   No cycle in the `#include "..."` graph of src/ headers.
                   Cycles compile accidentally (pragma once) until the day
@@ -263,14 +265,32 @@ def check_schema_sync(root, findings):
         )
         return
 
-    # Each field must be both written and read by the positional codec.
+    # Each field must appear in the PipelineConfig field template, which is
+    # both the codec's writer and its reader.
+    template = []
+    in_template = False
+    for _, code in iter_code_lines(codec):
+        if re.search(r"\bFieldsOf<PipelineConfig>", code):
+            in_template = True
+        elif in_template:
+            if code.rstrip() == "}":
+                break
+            template.append(code)
+    if not template:
+        findings.append(
+            f"{codec_rel}:1: [schema-sync] could not find the "
+            "PipelineConfig field template (`FieldsOf<PipelineConfig>`) -- "
+            "update tools/lint.py alongside the codec"
+        )
+        return
+    body = "\n".join(template)
     for lineno, field in fields:
-        if len(re.findall(r"\.serve\." + field + r"\b", codec)) < 2:
+        if not re.search(r"\.serve\." + field + r"\b", body):
             findings.append(
                 f"{config_rel}:{lineno}: [schema-sync] ServeConfig::{field} "
-                f"is not round-tripped by {codec_rel} (need a write and a "
-                "read of `.serve." + field + "`) -- append codec lines and "
-                "bump artifact.hpp kSchemaVersion"
+                f"is not round-tripped by {codec_rel} (the PipelineConfig "
+                "field template has no `.serve." + field + "`) -- append a "
+                "codec line and bump artifact.hpp kSchemaVersion"
             )
 
     # The codec must cite the CURRENT schema version in a comment, so a
