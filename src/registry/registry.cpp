@@ -21,6 +21,21 @@ void check_target_component(const std::string& value, const char* what) {
              std::string(what) + " must not contain '@', got '" + value + "'");
 }
 
+/// Add the counters of `from` into `into`: the one fold behind retiring a
+/// service (eviction and reload) and behind the live half of stats().
+/// Rates, gauges and percentiles are not counters and are left alone.
+void fold_counters(ServiceStats& into, const ServiceStats& from) {
+  into.requests += from.requests;
+  into.batches += from.batches;
+  into.clip_events += from.clip_events;
+  into.rejected += from.rejected;
+  into.deadline_misses += from.deadline_misses;
+  for (std::size_t p = 0; p < static_cast<std::size_t>(kNumPriorities); ++p) {
+    into.completed_by_priority[p] += from.completed_by_priority[p];
+    into.deadline_misses_by_priority[p] += from.deadline_misses_by_priority[p];
+  }
+}
+
 }  // namespace
 
 const char* to_string(HealthState state) {
@@ -133,16 +148,9 @@ ModelRegistry::Entry& ModelRegistry::add_entry_locked(
   return entry;
 }
 
-void ModelRegistry::register_artifact(const std::string& name,
-                                      const std::string& version,
-                                      const std::string& path) {
-  register_artifact(name, version, path, config_.serve);
-}
-
-void ModelRegistry::register_artifact(const std::string& name,
-                                      const std::string& version,
-                                      const std::string& path,
-                                      const ServeConfig& serve) {
+void ModelRegistry::register_artifact(
+    const std::string& name, const std::string& version,
+    const std::string& path, const std::optional<ServeConfig>& serve) {
   // Probe the header up front: a typo'd path or a compiled-model artifact
   // should fail at registration, not at the first routed request.
   const artifact::Info info = artifact::probe(path);
@@ -153,25 +161,21 @@ void ModelRegistry::register_artifact(const std::string& name,
   // under ModelRegistry::mu_ (lockdep pins the absence of that edge).
   const EntryMetrics metrics = resolve_entry_metrics(name, version);
   MutexLock lock(mu_);
-  Entry& entry = add_entry_locked(name, version, serve);
+  Entry& entry =
+      add_entry_locked(name, version, serve.value_or(config_.serve));
   entry.artifact_path = path;
   entry.metrics = metrics;
 }
 
 void ModelRegistry::register_model(const std::string& name,
                                    const std::string& version,
-                                   DeployedModel model) {
-  register_model(name, version, std::move(model), config_.serve);
-}
-
-void ModelRegistry::register_model(const std::string& name,
-                                   const std::string& version,
                                    DeployedModel model,
-                                   const ServeConfig& serve) {
+                                   const std::optional<ServeConfig>& serve) {
   // Same ordering contract as register_artifact: series first, lock second.
   const EntryMetrics metrics = resolve_entry_metrics(name, version);
   MutexLock lock(mu_);
-  Entry& entry = add_entry_locked(name, version, serve);
+  Entry& entry =
+      add_entry_locked(name, version, serve.value_or(config_.serve));
   entry.model.emplace(std::move(model));
   entry.metrics = metrics;
 }
@@ -457,32 +461,11 @@ void ModelRegistry::enforce_budget(MutexLock& lock, Entry& fresh) {
     // other resident is pinned right now. A transient overshoot is the
     // correct outcome -- the next materialization re-runs this loop.
     if (victim == nullptr) break;
+    // kDraining keeps every other thread off the victim while retire()
+    // drains it with the lock dropped -- the fleet keeps serving meanwhile.
     set_state_locked(*victim, LifecycleState::kDraining);
-    std::unique_ptr<InferenceService> old = std::move(victim->service);
-    // detach() joins ALL the service's batch workers after they drain the
-    // queue (in-flight batches included): every future handed out for this
-    // service resolves before the service is retired. The drain blocks on
-    // that traffic, so it runs with the registry lock DROPPED -- the fleet
-    // keeps serving while the victim winds down. `victim` stays valid
-    // across the unlock: entries are never removed and map nodes are
-    // stable; kDraining keeps every other thread off it.
-    lock.unlock();
-    DeployedModel recovered = old->detach();
-    const ServiceStats final = old->stats();
-    old.reset();
-    lock.lock();
-    victim->retired.requests += final.requests;
-    victim->retired.batches += final.batches;
-    victim->retired.clip_events += final.clip_events;
-    victim->retired.rejected += final.rejected;
-    victim->retired.deadline_misses += final.deadline_misses;
-    for (int p = 0; p < kNumPriorities; ++p) {
-      victim->retired.completed_by_priority[static_cast<std::size_t>(p)] +=
-          final.completed_by_priority[static_cast<std::size_t>(p)];
-      victim->retired
-          .deadline_misses_by_priority[static_cast<std::size_t>(p)] +=
-          final.deadline_misses_by_priority[static_cast<std::size_t>(p)];
-    }
+    DeployedModel recovered =
+        retire(lock, *victim, std::move(victim->service));
     victim->evictions += 1;
     victim->metrics.evictions->inc(1);
     if (!victim->artifact_backed()) {
@@ -498,29 +481,19 @@ void ModelRegistry::enforce_budget(MutexLock& lock, Entry& fresh) {
   }
 }
 
-void ModelRegistry::retire(std::unique_ptr<InferenceService> service,
-                           const std::string& name,
-                           const std::string& version) {
-  if (service == nullptr) return;
-  // Drain outside the registry lock: in-flight requests finish on the old
-  // weights while new traffic already routes to the replacement.
-  (void)service->detach();
+DeployedModel ModelRegistry::retire(
+    MutexLock& lock, Entry& entry, std::unique_ptr<InferenceService> service) {
+  // detach() joins ALL the service's batch workers after they drain the
+  // queue (in-flight batches included): every future handed out for this
+  // service resolves before it is retired. The drain blocks on that
+  // traffic, so it runs with the registry lock DROPPED.
+  lock.unlock();
+  DeployedModel drained = service->detach();
   const ServiceStats final = service->stats();
   service.reset();
-  MutexLock lock(mu_);
-  // Entries are never removed, so the entry still exists.
-  Entry& entry = find_entry_locked(name, version);
-  entry.retired.requests += final.requests;
-  entry.retired.batches += final.batches;
-  entry.retired.clip_events += final.clip_events;
-  entry.retired.rejected += final.rejected;
-  entry.retired.deadline_misses += final.deadline_misses;
-  for (int p = 0; p < kNumPriorities; ++p) {
-    entry.retired.completed_by_priority[static_cast<std::size_t>(p)] +=
-        final.completed_by_priority[static_cast<std::size_t>(p)];
-    entry.retired.deadline_misses_by_priority[static_cast<std::size_t>(p)] +=
-        final.deadline_misses_by_priority[static_cast<std::size_t>(p)];
-  }
+  lock.lock();
+  fold_counters(entry.retired, final);
+  return drained;
 }
 
 void ModelRegistry::reload(const std::string& name,
@@ -529,49 +502,41 @@ void ModelRegistry::reload(const std::string& name,
   const artifact::Info info = artifact::probe(path);
   EPIM_CHECK(info.kind == artifact::Kind::kDeployedModel,
              "registry artifacts must be deployed models: " + path);
-  std::unique_ptr<InferenceService> old;
-  {
-    MutexLock lock(mu_);
-    Entry& entry = find_entry_locked(name, version);
-    // Supersede any in-flight load: the loader compares this epoch at
-    // publish time, discards its (stale-artifact) result, and does NOT
-    // charge a stale failure against the fresh health below.
-    entry.load_epoch += 1;
-    entry.artifact_path = path;
-    entry.model.reset();  // the old in-memory source is superseded
-    // The repointed artifact deserves a fresh probe immediately: whatever
-    // broke the old path says nothing about the new one. Lifetime
-    // materialize_failures is kept (it describes the entry's history).
-    entry.health = HealthState::kHealthy;
-    entry.consecutive_failures = 0;
-    entry.last_error.clear();
-    entry.retry_at = Clock::time_point{};
-    if (entry.state == LifecycleState::kResident) {
-      set_state_locked(entry, LifecycleState::kDraining);
-      // Wait out readers that pinned the service before we got the lock.
-      // Bounded: pins cover an enqueue or a stats read, never I/O, and
-      // kDraining stops new pins from arriving.
-      while (entry.pins > 0) entry.cv.wait(lock);
-      old = std::move(entry.service);
-      set_state_locked(entry, LifecycleState::kCold);
-      entry.cv.notify_all();
-    }
-    // kLoading: the epoch bump above retires the loader's result; it (or a
-    // waiter) re-materializes from the new path. kDraining: an eviction is
-    // already winding the old service down and folds its stats itself.
-  }
-  retire(std::move(old), name, version);
+  MutexLock lock(mu_);
+  Entry& entry = find_entry_locked(name, version);
+  // Supersede any in-flight load: the loader compares this epoch at
+  // publish time, discards its (stale-artifact) result, and does NOT
+  // charge a stale failure against the fresh health below.
+  entry.load_epoch += 1;
+  entry.artifact_path = path;
+  entry.model.reset();  // the old in-memory source is superseded
+  // The repointed artifact deserves a fresh probe immediately: whatever
+  // broke the old path says nothing about the new one. Lifetime
+  // materialize_failures is kept (it describes the entry's history).
+  entry.health = HealthState::kHealthy;
+  entry.consecutive_failures = 0;
+  entry.last_error.clear();
+  entry.retry_at = Clock::time_point{};
+  // kLoading: the epoch bump above retires the loader's result; it (or a
+  // waiter) re-materializes from the new path. kDraining: an eviction is
+  // already winding the old service down and folds its stats itself.
+  if (entry.state != LifecycleState::kResident) return;
+  set_state_locked(entry, LifecycleState::kDraining);
+  // Wait out readers that pinned the service before we got the lock.
+  // Bounded: pins cover an enqueue or a stats read, never I/O, and
+  // kDraining stops new pins from arriving.
+  while (entry.pins > 0) entry.cv.wait(lock);
+  std::unique_ptr<InferenceService> old = std::move(entry.service);
+  // Back to kCold BEFORE the drain: in-flight requests finish on the old
+  // weights while new traffic already materializes the new artifact.
+  set_state_locked(entry, LifecycleState::kCold);
+  entry.cv.notify_all();
+  (void)retire(lock, entry, std::move(old));
 }
 
 // ---------------------------------------------------------------------------
 // ModelRegistry: traffic + stats
 // ---------------------------------------------------------------------------
-
-std::future<InferenceResult> ModelRegistry::submit(const std::string& name,
-                                                   const std::string& version,
-                                                   Tensor image) {
-  return submit(name, version, std::move(image), SubmitOptions{});
-}
 
 std::future<InferenceResult> ModelRegistry::submit(
     const std::string& name, const std::string& version, Tensor image,
@@ -584,18 +549,14 @@ std::future<InferenceResult> ModelRegistry::submit(
 
 std::vector<std::future<InferenceResult>> ModelRegistry::submit_batch(
     const std::string& name, const std::string& version,
-    std::vector<Tensor> images) {
-  return submit_batch(name, version, std::move(images), SubmitOptions{});
-}
-
-std::vector<std::future<InferenceResult>> ModelRegistry::submit_batch(
-    const std::string& name, const std::string& version,
     std::vector<Tensor> images, const SubmitOptions& options) {
+  // Before anything else: an invalid burst must not claim a cold load, and
+  // its priority indexes the per-class shed counters below.
+  check_submission(options, images.size());
   const std::size_t n = images.size();
   // Requests that end up waiting behind an in-flight load/drain shed on
   // the same deadline the service would enforce at admission; no deadline
-  // means wait until the entry settles. (Negative deadlines are rejected
-  // by the service at enqueue, exactly as before.)
+  // means wait until the entry settles.
   Clock::time_point wait_deadline = Clock::time_point::max();
   if (options.deadline_ms > 0.0) {
     wait_deadline = Clock::now() +
@@ -747,21 +708,13 @@ RegistrySnapshot ModelRegistry::stats() const {
       m.evictions = entry.evictions;
       // Retired counters now; the live service's share is folded in below,
       // outside the lock.
-      m.stats.requests = entry.retired.requests;
-      m.stats.batches = entry.retired.batches;
-      m.stats.clip_events = entry.retired.clip_events;
-      m.stats.rejected = entry.retired.rejected;
-      m.stats.deadline_misses = entry.retired.deadline_misses;
-      m.stats.completed_by_priority = entry.retired.completed_by_priority;
-      m.stats.deadline_misses_by_priority =
-          entry.retired.deadline_misses_by_priority;
+      m.stats = entry.retired;
       m.health = entry.health;
       m.consecutive_failures = entry.consecutive_failures;
       m.materialize_failures = entry.materialize_failures;
       m.health_fast_fails = entry.health_fast_fails;
       m.last_error = entry.last_error;
       if (m.resident) {
-        snapshot.workers += entry.serve.workers;
         entry.pins += 1;
         entry.metrics.pins->add(1);
         pinned.push_back(
@@ -779,20 +732,11 @@ RegistrySnapshot ModelRegistry::stats() const {
     ModelSnapshot& m = snapshot.models[p.index];
     ServiceStats live = p.service->stats();
     fleet_latency.merge(p.service->interval_latency());
+    snapshot.workers += live.live_workers;
     // Fold the retired counters captured under the lock into the live
     // snapshot; rates/gauges (items_per_sec, queued, percentiles, workers)
     // describe the live service alone and come along unchanged.
-    live.requests += m.stats.requests;
-    live.batches += m.stats.batches;
-    live.clip_events += m.stats.clip_events;
-    live.rejected += m.stats.rejected;
-    live.deadline_misses += m.stats.deadline_misses;
-    for (int p = 0; p < kNumPriorities; ++p) {
-      live.completed_by_priority[static_cast<std::size_t>(p)] +=
-          m.stats.completed_by_priority[static_cast<std::size_t>(p)];
-      live.deadline_misses_by_priority[static_cast<std::size_t>(p)] +=
-          m.stats.deadline_misses_by_priority[static_cast<std::size_t>(p)];
-    }
+    fold_counters(live, m.stats);
     m.stats = live;
   }
 
@@ -832,7 +776,7 @@ void ModelRegistry::reset_stats() {
   MutexLock lock(mu_);
   for (auto& [name, family] : families_) {
     for (auto& [version, entry] : family.versions) {
-      entry.retired = RetiredCounters{};
+      entry.retired = ServiceStats{};
       // Traffic counter, so it belongs to the interval; the breaker state
       // and lifetime materialize_failures are structural and stay.
       entry.health_fast_fails = 0;
@@ -867,21 +811,11 @@ std::pair<std::string, std::string> Router::route(const std::string& target) {
 }
 
 std::future<InferenceResult> Router::submit(const std::string& target,
-                                            Tensor image) {
-  return submit(target, std::move(image), SubmitOptions{});
-}
-
-std::future<InferenceResult> Router::submit(const std::string& target,
                                             Tensor image,
                                             const SubmitOptions& options) {
   std::vector<Tensor> one;
   one.push_back(std::move(image));
   return std::move(submit_batch(target, std::move(one), options).front());
-}
-
-std::vector<std::future<InferenceResult>> Router::submit_batch(
-    const std::string& target, std::vector<Tensor> images) {
-  return submit_batch(target, std::move(images), SubmitOptions{});
 }
 
 std::vector<std::future<InferenceResult>> Router::submit_batch(

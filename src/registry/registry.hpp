@@ -183,9 +183,10 @@ struct VersionWeight {
 };
 
 /// Per-model slice of a registry snapshot. Counters (requests, batches,
-/// clip_events, rejected) span the entry's whole life, including retired
-/// services (evicted or hot-swapped); rates and percentiles describe the
-/// live service only (zero while cold).
+/// clip_events, rejected, deadline_misses and the per-priority splits) span
+/// the entry's whole stats interval, including retired services (evicted or
+/// hot-swapped); rates, gauges and percentiles describe the live service
+/// only (zero while cold).
 struct ModelSnapshot {
   std::string name;
   std::string version;
@@ -219,8 +220,9 @@ struct ModelSnapshot {
 struct RegistrySnapshot {
   std::vector<ModelSnapshot> models;  ///< sorted by (name, version)
   int resident = 0;                   ///< materialized services right now
-  /// Batch-worker threads alive across the resident services (the fleet's
-  /// batch-thread footprint; compute threads are the separate shared pool
+  /// Batch-worker threads alive across the resident services (the sum of
+  /// their ServiceStats::live_workers, so an adaptive pool counts what it
+  /// runs now, not its floor; compute threads are the separate shared pool
   /// budget).
   int workers = 0;
   std::int64_t requests = 0;          ///< completed, fleet-wide
@@ -249,8 +251,8 @@ struct RegistrySnapshot {
 
 /// Named, versioned model store with lazy materialization, an LRU resident
 /// budget, and atomic hot reload. The Router below is the intended traffic
-/// entry point; the registry's own submit() is the version-explicit core it
-/// delegates to.
+/// entry point; the registry's own submit_batch() is the version-explicit
+/// core it delegates to.
 class ModelRegistry {
  public:
   explicit ModelRegistry(RegistryConfig config = {});
@@ -263,21 +265,21 @@ class ModelRegistry {
 
   /// Register `name@version` backed by a `.epim` deployed-model artifact.
   /// The file's header is probed immediately (existence, magic, kind), the
-  /// payload is loaded on first request. Throws InvalidArgument if the
-  /// version already exists or the artifact is unusable.
+  /// payload is loaded on first request. `serve` is the entry's batching +
+  /// admission policy; omitted, it is RegistryConfig::serve. Throws
+  /// InvalidArgument if the version already exists or the artifact is
+  /// unusable.
   void register_artifact(const std::string& name, const std::string& version,
-                         const std::string& path);
-  void register_artifact(const std::string& name, const std::string& version,
-                         const std::string& path, const ServeConfig& serve);
+                         const std::string& path,
+                         const std::optional<ServeConfig>& serve = {});
 
   /// Register `name@version` backed by an already-deployed in-memory model
   /// (e.g. fresh out of Pipeline::deploy, skipping the save/load cycle).
   /// The service is still materialized lazily; eviction detaches the model
-  /// back into the entry instead of dropping it.
+  /// back into the entry instead of dropping it. `serve` as above.
   void register_model(const std::string& name, const std::string& version,
-                      DeployedModel model);
-  void register_model(const std::string& name, const std::string& version,
-                      DeployedModel model, const ServeConfig& serve);
+                      DeployedModel model,
+                      const std::optional<ServeConfig>& serve = {});
 
   /// Point `name@alias` at an existing version (re-pointing is allowed; an
   /// alias equal to a version name is rejected as shadowing). The alias
@@ -298,26 +300,23 @@ class ModelRegistry {
   void reload(const std::string& name, const std::string& version,
               const std::string& path);
 
-  /// Version-explicit submission: materializes the entry if cold (evicting
-  /// LRU residents past the budget), then enqueues on its service. Exactly
-  /// one request performs a cold load (single-flight, with the registry
-  /// lock dropped across the I/O); concurrent requests to the same entry
-  /// wait for the load/drain to finish -- a request with
+  /// Version-explicit submission (submit is a burst of one): checks the
+  /// burst and its options (check_submission) BEFORE touching the entry, so
+  /// an invalid request never triggers a cold load; then materializes the
+  /// entry if cold (evicting LRU residents past the budget) and enqueues on
+  /// its service. Exactly one request performs a cold load (single-flight,
+  /// with the registry lock dropped across the I/O); concurrent requests to
+  /// the same entry wait for the load/drain to finish -- a request with
   /// SubmitOptions::deadline_ms sheds with DeadlineExceeded if the entry is
   /// still not resident at its deadline. Throws InvalidArgument for unknown
-  /// targets or bad shapes, Unavailable when the model's queue is full.
-  std::future<InferenceResult> submit(const std::string& name,
-                                      const std::string& version,
-                                      Tensor image);
+  /// targets, invalid options or bad shapes, Unavailable when the model's
+  /// queue is full.
   std::future<InferenceResult> submit(const std::string& name,
                                       const std::string& version, Tensor image,
-                                      const SubmitOptions& options);
+                                      const SubmitOptions& options = {});
   std::vector<std::future<InferenceResult>> submit_batch(
       const std::string& name, const std::string& version,
-      std::vector<Tensor> images);
-  std::vector<std::future<InferenceResult>> submit_batch(
-      const std::string& name, const std::string& version,
-      std::vector<Tensor> images, const SubmitOptions& options);
+      std::vector<Tensor> images, const SubmitOptions& options = {});
 
   /// Current breaker state of `name@version` (InvalidArgument if unknown).
   HealthState health(const std::string& name,
@@ -375,18 +374,6 @@ class ModelRegistry {
       "model is quarantined (circuit breaker open)";
 
  private:
-  struct RetiredCounters {
-    std::int64_t requests = 0;
-    std::int64_t batches = 0;
-    std::int64_t clip_events = 0;
-    std::int64_t rejected = 0;
-    std::int64_t deadline_misses = 0;
-    /// Per-priority splits of requests/deadline_misses (the scalars stay
-    /// the class sums), folded from the same retiring-service snapshots.
-    std::array<std::int64_t, kNumPriorities> completed_by_priority{};
-    std::array<std::int64_t, kNumPriorities> deadline_misses_by_priority{};
-  };
-
   /// Cached telemetry series for one entry ({model} = "name@version").
   /// Resolved at registration BEFORE the registry lock is taken -- series
   /// lookup acquires telemetry::Registry::mu_, which must stay a leaf never
@@ -411,7 +398,9 @@ class ModelRegistry {
     ServeConfig serve{};
     std::uint64_t last_used = 0;        ///< LRU tick
     std::int64_t evictions = 0;
-    RetiredCounters retired{};          ///< from evicted/swapped services
+    /// Counters of evicted/swapped services plus load-wait deadline sheds
+    /// (only the counter fields are used; see fold_counters).
+    ServiceStats retired{};
     EntryMetrics metrics{};             ///< see EntryMetrics
 
     // --- lifecycle state machine (fields mutated only under the registry
@@ -480,17 +469,17 @@ class ModelRegistry {
                              const std::string& version, Entry& entry)
       EPIM_REQUIRES(mu_);
   /// Evict LRU residents until the budget holds, never evicting `fresh`,
-  /// kLoading/kDraining, or pinned entries. Each victim is marked kDraining
-  /// and drained with the lock DROPPED (detach blocks on in-flight
-  /// batches), then folded + returned to kCold under the re-acquired lock.
+  /// kLoading/kDraining, or pinned entries. Each victim is marked kDraining,
+  /// retired, then returned to kCold.
   void enforce_budget(MutexLock& lock, Entry& fresh) EPIM_REQUIRES(mu_);
-  /// Drain a swapped-out service outside the lock, then fold its final
-  /// counters into the (never-removed) entry's retired totals. Must NOT be
-  /// called with mu_ held: the drain blocks on in-flight traffic, and it
-  /// re-acquires mu_ for the fold.
-  void retire(std::unique_ptr<InferenceService> service,
-              const std::string& name, const std::string& version)
-      EPIM_EXCLUDES(mu_);
+  /// The one drain-and-fold path (eviction and reload): DROPS `lock` while
+  /// the detached `service` drains (detach blocks on in-flight traffic),
+  /// then re-acquires it to fold the service's final counters into
+  /// `entry.retired`, and returns the drained model. `entry` stays valid
+  /// across the unlock: entries are never removed and map nodes are stable.
+  DeployedModel retire(MutexLock& lock, Entry& entry,
+                       std::unique_ptr<InferenceService> service)
+      EPIM_REQUIRES(mu_);
   int resident_count_locked() const EPIM_REQUIRES(mu_);
   /// Breaker gate for a cold entry: returns normally when the entry may
   /// attempt (re)materialization -- healthy, or its retry window expired
@@ -550,23 +539,20 @@ class Router {
   /// consuming one split draw iff the target is a bare name with a split.
   std::pair<std::string, std::string> route(const std::string& target);
 
-  /// Resolve + submit. All split draws, admission rejections and shape
-  /// errors surface here exactly as documented on ModelRegistry::submit.
-  /// When the resolved family has a fallback configured (set_fallback) and
-  /// the primary submission throws Unavailable, the same images are
-  /// re-routed to the fallback target once; see the file header.
-  std::future<InferenceResult> submit(const std::string& target,
-                                      Tensor image);
+  /// Resolve + submit (submit is a burst of one). All split draws,
+  /// admission rejections and shape errors surface here exactly as
+  /// documented on ModelRegistry::submit_batch. When the resolved family
+  /// has a fallback configured (set_fallback) and the primary submission
+  /// throws Unavailable, the same images are re-routed to the fallback
+  /// target once; see the file header.
   std::future<InferenceResult> submit(const std::string& target, Tensor image,
-                                      const SubmitOptions& options);
+                                      const SubmitOptions& options = {});
   /// A burst routes as ONE unit: a single draw picks the version for the
   /// whole burst (a canary either sees an entire batch or none of it), and
   /// a fallback hop moves the entire burst or none of it.
   std::vector<std::future<InferenceResult>> submit_batch(
-      const std::string& target, std::vector<Tensor> images);
-  std::vector<std::future<InferenceResult>> submit_batch(
       const std::string& target, std::vector<Tensor> images,
-      const SubmitOptions& options);
+      const SubmitOptions& options = {});
 
   /// Configure `fallback_target` (any routing target) as the once-only
   /// fallback for traffic whose PRIMARY resolution lands on family `name`

@@ -1,7 +1,10 @@
 #include "serve/scheduler.hpp"
 
 #include <algorithm>
+#include <string>
 #include <utility>
+
+#include "common/check.hpp"
 
 namespace epim {
 
@@ -15,6 +18,16 @@ const char* priority_name(Priority priority) {
       return "bulk";
   }
   return "normal";  // unreachable for in-range enums
+}
+
+void check_submission(const SubmitOptions& options, std::size_t images) {
+  EPIM_CHECK(images > 0, "submit_batch requires a non-empty batch");
+  EPIM_CHECK(options.deadline_ms >= 0.0,
+             "deadline_ms must be non-negative (0 = no deadline), got " +
+                 std::to_string(options.deadline_ms));
+  EPIM_CHECK(static_cast<std::size_t>(options.priority) <
+                 static_cast<std::size_t>(kNumPriorities),
+             "SubmitOptions::priority is out of range");
 }
 
 void Scheduler::enqueue(SchedRequest request) {

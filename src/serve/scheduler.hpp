@@ -89,6 +89,13 @@ struct SubmitOptions {
   std::string client_id;
 };
 
+/// The one submission check, run first by every submit_batch (service and
+/// registry) so a request that can never be valid is rejected before any
+/// work is done for it -- a cold load included. Throws InvalidArgument for
+/// an empty burst (a zero-item flush is always a caller bug), a negative
+/// deadline_ms, or a priority outside the kNumPriorities classes.
+void check_submission(const SubmitOptions& options, std::size_t images);
+
 /// One queued request, as the scheduler stores it. Owned by the scheduler
 /// from enqueue() until select()/shed_expired() moves it back out.
 struct SchedRequest {

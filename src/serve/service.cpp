@@ -122,10 +122,6 @@ DeployedModel InferenceService::detach() {
   return std::move(model_);
 }
 
-std::future<InferenceResult> InferenceService::submit(Tensor image) {
-  return submit(std::move(image), SubmitOptions{});
-}
-
 std::future<InferenceResult> InferenceService::submit(
     Tensor image, const SubmitOptions& options) {
   std::vector<Tensor> one;
@@ -134,21 +130,9 @@ std::future<InferenceResult> InferenceService::submit(
 }
 
 std::vector<std::future<InferenceResult>> InferenceService::submit_batch(
-    std::vector<Tensor> images) {
-  return submit_batch(std::move(images), SubmitOptions{});
-}
-
-std::vector<std::future<InferenceResult>> InferenceService::submit_batch(
     std::vector<Tensor> images, const SubmitOptions& options) {
-  // An empty burst would either flush a zero-item batch or silently do
-  // nothing depending on worker timing; pin it as a caller error.
-  EPIM_CHECK(!images.empty(), "submit_batch requires a non-empty batch");
-  EPIM_CHECK(options.deadline_ms >= 0.0,
-             "deadline_ms must be non-negative (0 = no deadline), got " +
-                 std::to_string(options.deadline_ms));
+  check_submission(options, images.size());
   const std::size_t prio = prio_index(options.priority);
-  EPIM_CHECK(prio < static_cast<std::size_t>(kNumPriorities),
-             "SubmitOptions::priority is out of range");
 
   // A burst larger than max_batch is reslice-eligible: its requests skip
   // the flush-deadline hold (their batch-mates arrived with them) and the
@@ -221,7 +205,7 @@ std::vector<std::future<InferenceResult>> InferenceService::submit_batch(
       }
     }
     // Record the throughput-window start *before* the requests become
-    // visible to the workers: once any of them is counted in completed_,
+    // visible to the workers: once any of them is counted as completed,
     // the window start is guaranteed set.
     if (!saw_first_submit_) {
       saw_first_submit_ = true;
@@ -416,7 +400,6 @@ std::size_t InferenceService::shed_expired_locked(Clock::time_point now) {
   m_deadline_misses_->inc(static_cast<std::int64_t>(expired.size()));
   // Count BEFORE failing the futures: a caller that observes a future's
   // DeadlineExceeded and then reads stats() must see the miss counted.
-  deadline_misses_ += static_cast<std::int64_t>(expired.size());
   for (int p = 0; p < kNumPriorities; ++p) {
     deadline_misses_by_priority_[static_cast<std::size_t>(p)] +=
         shed_by_prio[static_cast<std::size_t>(p)];
@@ -506,7 +489,6 @@ InferenceService::BatchOutcome InferenceService::run_batch(
 void InferenceService::complete_batch_locked(std::vector<SchedRequest>& batch,
                                              BatchOutcome& outcome) {
   if (outcome.results.empty()) return;  // failed: futures already resolved
-  completed_ += static_cast<std::int64_t>(batch.size());
   batches_ += 1;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     clip_events_ += outcome.results[i].clip_count;
@@ -527,13 +509,11 @@ void InferenceService::complete_batch_locked(std::vector<SchedRequest>& batch,
 void InferenceService::reset() {
   MutexLock lock(mu_);
   // Per-instance, so resetting it cannot disturb the shared (cumulative)
-  // scrape series; under mu_, so it stays in step with completed_.
+  // scrape series; under mu_, so it stays in step with the completions.
   interval_latency_.reset();
-  completed_ = 0;
   batches_ = 0;
   clip_events_ = 0;
   rejected_ = 0;
-  deadline_misses_ = 0;
   completed_by_priority_.fill(0);
   deadline_misses_by_priority_.fill(0);
   saw_first_submit_ = false;
@@ -551,19 +531,22 @@ ServiceStats InferenceService::stats() const {
   s.max_workers = pool_cap_;
   {
     MutexLock lock(mu_);
-    s.requests = completed_;
     s.batches = batches_;
     s.clip_events = clip_events_;
     s.rejected = rejected_;
-    s.deadline_misses = deadline_misses_;
     s.completed_by_priority = completed_by_priority_;
     s.deadline_misses_by_priority = deadline_misses_by_priority_;
-    if (completed_ > 0) {
-      s.mean_batch_size = static_cast<double>(completed_) /
+    for (int p = 0; p < kNumPriorities; ++p) {
+      s.requests += completed_by_priority_[static_cast<std::size_t>(p)];
+      s.deadline_misses +=
+          deadline_misses_by_priority_[static_cast<std::size_t>(p)];
+    }
+    if (s.requests > 0) {
+      s.mean_batch_size = static_cast<double>(s.requests) /
                           static_cast<double>(batches_);
       const double wall_s =
           std::chrono::duration<double>(last_done_ - first_submit_).count();
-      s.items_per_sec = serve_detail::items_rate(completed_, wall_s);
+      s.items_per_sec = serve_detail::items_rate(s.requests, wall_s);
     }
     s.queued = static_cast<std::int64_t>(sched_.size());
     for (int p = 0; p < kNumPriorities; ++p) {

@@ -154,12 +154,8 @@ class InferenceService {
   /// -- counters aggregate, the queue-depth gauge sums -- which is the
   /// Prometheus model. Series are resolved here, before any worker starts,
   /// so the hot path never touches the telemetry registration lock.
-  InferenceService(DeployedModel model, ServeConfig config,
-                   const std::string& telemetry_label);
-  InferenceService(DeployedModel model, ServeConfig config)
-      : InferenceService(std::move(model), std::move(config), "default") {}
-  explicit InferenceService(DeployedModel model)
-      : InferenceService(std::move(model), ServeConfig{}) {}
+  explicit InferenceService(DeployedModel model, ServeConfig config = {},
+                            const std::string& telemetry_label = "default");
 
   InferenceService(const InferenceService&) = delete;
   InferenceService& operator=(const InferenceService&) = delete;
@@ -174,22 +170,22 @@ class InferenceService {
   /// Batch workers this service was configured with.
   int workers() const { return config_.workers; }
 
-  /// Enqueue one (C, H, W) image. The shape is validated against the
-  /// deployed model here (throws InvalidArgument), so a malformed request
-  /// can never poison a batch. The future is fulfilled when the batch
-  /// containing this request completes. When ServeConfig::max_queue is set
-  /// and the queue is at the bound, throws epim::Unavailable immediately --
-  /// admission never blocks the caller or grows the queue.
-  std::future<InferenceResult> submit(Tensor image);
-  /// As above, with per-request options (deadline). The future of a request
-  /// shed for missing its deadline fails with epim::DeadlineExceeded.
+  /// Enqueue one (C, H, W) image: a burst of one through submit_batch. The
+  /// shape is validated against the deployed model here (throws
+  /// InvalidArgument), so a malformed request can never poison a batch. The
+  /// future is fulfilled when the batch containing this request completes,
+  /// or fails with epim::DeadlineExceeded if the request is shed for
+  /// missing its SubmitOptions::deadline_ms. When ServeConfig::max_queue is
+  /// set and the queue is at the bound, throws epim::Unavailable
+  /// immediately -- admission never blocks the caller or grows the queue.
   std::future<InferenceResult> submit(Tensor image,
-                                      const SubmitOptions& options);
+                                      const SubmitOptions& options = {});
 
-  /// Enqueue a burst atomically: the workers see all images at once, so
-  /// full batches flush immediately instead of waiting out the deadline.
-  /// An empty burst is rejected with InvalidArgument (a zero-item flush is
-  /// always a caller bug), and so is a burst larger than its admission
+  /// Enqueue a burst atomically, `options` applying to every image: the
+  /// workers see all images at once, so full batches flush immediately
+  /// instead of waiting out the deadline. check_submission() runs first
+  /// (an empty burst, a negative deadline or an out-of-range priority is
+  /// InvalidArgument), and so is a burst larger than its admission
   /// bound (it could never be admitted, no matter how empty the queue --
   /// that is a caller error, not transient overload, so it is not
   /// Unavailable and not counted in ServiceStats::rejected). The bound is
@@ -201,10 +197,7 @@ class InferenceService {
   /// image is admitted or none is, and concurrent slices of an admitted
   /// burst can never be re-checked (so never double-rejected).
   std::vector<std::future<InferenceResult>> submit_batch(
-      std::vector<Tensor> images);
-  /// As above, with per-request options applied to every image in the burst.
-  std::vector<std::future<InferenceResult>> submit_batch(
-      std::vector<Tensor> images, const SubmitOptions& options);
+      std::vector<Tensor> images, const SubmitOptions& options = {});
 
   /// Consistent snapshot of the counters.
   ServiceStats stats() const;
@@ -326,8 +319,8 @@ class InferenceService {
   /// (the shared series above aggregates across instances and outlives
   /// reset(), so it cannot serve per-service interval percentiles).
   /// Written (observe, reset) and read by stats() only under mu_, so it
-  /// always counts exactly completed_; the registry's lock-free merge via
-  /// interval_latency() relies on Histogram's atomics.
+  /// always counts exactly the completed requests; the registry's lock-free
+  /// merge via interval_latency() relies on Histogram's atomics.
   telemetry::Histogram interval_latency_;
 
   /// The service's one lock: queue, pool and interval stats. Nothing is
@@ -355,13 +348,11 @@ class InferenceService {
   int live_workers_ EPIM_GUARDED_BY(mu_) = 0;
 
   // --- interval stats (zeroed by reset()) ---
-  std::int64_t completed_ EPIM_GUARDED_BY(mu_) = 0;
   std::int64_t batches_ EPIM_GUARDED_BY(mu_) = 0;
   std::int64_t clip_events_ EPIM_GUARDED_BY(mu_) = 0;
   std::int64_t rejected_ EPIM_GUARDED_BY(mu_) = 0;
-  std::int64_t deadline_misses_ EPIM_GUARDED_BY(mu_) = 0;
-  /// Per-class splits of completed_/deadline_misses_ (the scalars stay the
-  /// sums).
+  /// Completed and deadline-shed requests per class; stats() reports their
+  /// sums as ServiceStats::requests / deadline_misses.
   std::array<std::int64_t, kNumPriorities> completed_by_priority_
       EPIM_GUARDED_BY(mu_){};
   std::array<std::int64_t, kNumPriorities> deadline_misses_by_priority_

@@ -16,6 +16,7 @@
 #include <fstream>
 
 #include "common/error.hpp"
+#include "common/fault_inject.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "nn/resnet.hpp"
@@ -35,6 +36,14 @@ std::string temp_path(const std::string& name) {
 /// Restore the 1-thread default after a test that resizes the pool.
 struct ThreadGuard {
   ~ThreadGuard() { set_num_threads(1); }
+};
+
+/// Disarm every fault point (releasing parked gate hits) on scope exit.
+/// Declare it AFTER the registry, so a failed assertion releases the gates
+/// before the registry's teardown drains the parked services.
+struct FaultGuard {
+  FaultGuard() { fault::disarm_all(); }
+  ~FaultGuard() { fault::disarm_all(); }
 };
 
 /// One trained net + three deployment variants (distinct precisions, so
@@ -664,6 +673,252 @@ TEST(RegistryArtifact, RepeatedLoadFailuresQuarantineUntilRepaired) {
   EXPECT_EQ(registry.health("m", "v1"), HealthState::kHealthy);
   EXPECT_EQ(registry.stats().quarantined, 0);
   std::remove(path.c_str());
+}
+
+// ---- submission checks run before any load ----
+// An invalid submission must be rejected before the registry does any work
+// for it: a cold entry stays cold, and a request behind an in-flight load
+// fails with InvalidArgument instead of waiting out its deadline.
+
+TEST(RegistrySubmission, BadPriorityOnAColdEntryStaysCold) {
+  ZooFixture& fx = ZooFixture::instance();
+  ModelRegistry registry;
+  registry.register_model("m", "v1", fx.deploy(0));
+  SubmitOptions options;
+  options.priority = static_cast<Priority>(7);
+  try {
+    (void)registry.submit("m", "v1", fx.data.test.sample(0), options);
+    FAIL() << "an out-of-range priority was accepted";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("priority is out of range"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(registry.resident("m", "v1"));
+  ASSERT_EQ(registry.stats().models.size(), 1u);
+  EXPECT_EQ(registry.stats().models[0].lifecycle, LifecycleState::kCold);
+}
+
+TEST(RegistrySubmission, NegativeDeadlineOrEmptyBurstOnAColdEntryStaysCold) {
+  ZooFixture& fx = ZooFixture::instance();
+  ModelRegistry registry;
+  registry.register_model("m", "v1", fx.deploy(0));
+  SubmitOptions options;
+  options.deadline_ms = -1.0;
+  try {
+    (void)registry.submit("m", "v1", fx.data.test.sample(0), options);
+    FAIL() << "a negative deadline was accepted";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("deadline_ms must be non-negative"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(registry.resident("m", "v1"));
+  EXPECT_THROW((void)registry.submit_batch("m", "v1", {}), InvalidArgument);
+  EXPECT_FALSE(registry.resident("m", "v1"));
+}
+
+TEST(RegistrySubmission, BadPriorityBehindALoadingEntryIsInvalidArgument) {
+  ZooFixture& fx = ZooFixture::instance();
+  ModelRegistry registry;
+  registry.register_model("m", "v1", fx.deploy(0));
+  FaultGuard faults;
+  fault::arm_gate("registry.materialize");
+  std::thread loader([&] {
+    (void)registry.submit("m", "v1", fx.data.test.sample(0)).get();
+  });
+  fault::wait_for_hits("registry.materialize", 1);
+
+  // The entry is provably kLoading. A deadline bounds the wait, so a
+  // request that is (wrongly) parked behind the load sheds instead of
+  // hanging the test.
+  SubmitOptions options;
+  options.priority = static_cast<Priority>(7);
+  options.deadline_ms = 20.0;
+  EXPECT_THROW(
+      (void)registry.submit("m", "v1", fx.data.test.sample(0), options),
+      InvalidArgument);
+
+  fault::open_gate("registry.materialize");
+  loader.join();
+  const RegistrySnapshot snap = registry.stats();
+  ASSERT_EQ(snap.models.size(), 1u);
+  EXPECT_EQ(snap.models[0].stats.deadline_misses, 0);
+  EXPECT_EQ(snap.models[0].stats.requests, 1);
+}
+
+// RegistrySnapshot::workers counts the batch workers alive now: an adaptive
+// pool grown past its floor reports its live size, not ServeConfig::workers.
+TEST(RegistrySnapshot, WorkersCountsLiveAdaptivePoolWorkers) {
+  ZooFixture& fx = ZooFixture::instance();
+  ServeConfig scfg = RegistryConfig::default_serve();
+  scfg.workers = 1;
+  scfg.max_workers = 3;
+  scfg.max_batch = 1;
+  ModelRegistry registry;
+  registry.register_model("m", "v1", fx.deploy(0), scfg);
+  FaultGuard faults;
+  // Each batch parks at the gate, so its worker stays busy and the next
+  // single finds no idle worker: the pool grows by one slot per submit.
+  fault::arm_gate("serve.run_batch");
+  std::vector<std::future<InferenceResult>> pending;
+  for (int i = 1; i <= 3; ++i) {
+    pending.push_back(registry.submit("m", "v1", fx.data.test.sample(0)));
+    fault::wait_for_hits("serve.run_batch", i);
+  }
+
+  const RegistrySnapshot snap = registry.stats();
+  ASSERT_EQ(snap.models.size(), 1u);
+  EXPECT_EQ(snap.models[0].stats.live_workers, 3);
+  EXPECT_EQ(snap.workers, 3);
+  EXPECT_EQ(snap.models[0].workers, 1);  // the configured floor
+
+  fault::open_gate("serve.run_batch");
+  for (auto& f : pending) (void)f.get();
+}
+
+/// The counter fields of a ServiceStats that the registry folds across
+/// retired services.
+void expect_same_counters(const ServiceStats& got, const ServiceStats& want,
+                          const std::string& context) {
+  EXPECT_EQ(got.requests, want.requests) << context;
+  EXPECT_EQ(got.batches, want.batches) << context;
+  EXPECT_EQ(got.clip_events, want.clip_events) << context;
+  EXPECT_EQ(got.rejected, want.rejected) << context;
+  EXPECT_EQ(got.deadline_misses, want.deadline_misses) << context;
+  EXPECT_EQ(got.completed_by_priority, want.completed_by_priority) << context;
+  EXPECT_EQ(got.deadline_misses_by_priority, want.deadline_misses_by_priority)
+      << context;
+}
+
+const ModelSnapshot& model_of(const RegistrySnapshot& snap,
+                              const std::string& name) {
+  for (const ModelSnapshot& m : snap.models) {
+    if (m.name == name) return m;
+  }
+  throw InvalidArgument("no model " + name + " in the snapshot");
+}
+
+// Every counter of ModelSnapshot::stats -- not just requests -- survives an
+// LRU eviction and a reload(), a load-wait deadline shed is counted under
+// its priority, and reset_stats() zeroes all of them.
+TEST(ModelRegistry, EveryCounterSurvivesEvictionAndReload) {
+  ZooFixture& fx = ZooFixture::instance();
+  const std::string path_a = temp_path("registry_fold_a.epim");
+  // A starved ADC, so the fold of clip_events is observable.
+  PipelineConfig clipping = fx.cfgs.at(0);
+  clipping.hardware.deploy_adc_bits = 3;
+  Pipeline(clipping).deploy(fx.net, fx.data.train).save(path_a);
+  constexpr auto kInteractive =
+      static_cast<std::size_t>(Priority::kInteractive);
+  constexpr auto kNormal = static_cast<std::size_t>(Priority::kNormal);
+  constexpr auto kBulk = static_cast<std::size_t>(Priority::kBulk);
+
+  RegistryConfig rcfg;
+  rcfg.max_resident_models = 1;
+  ServeConfig scfg = RegistryConfig::default_serve();
+  scfg.max_batch = 1;  // one batch per request, so batches == requests
+  scfg.max_queue = 2;
+  ModelRegistry registry(rcfg);
+  registry.register_artifact("a", "v1", path_a, scfg);
+  registry.register_model("b", "v1", fx.deploy(0));
+  FaultGuard faults;
+
+  SubmitOptions interactive;
+  interactive.priority = Priority::kInteractive;
+  SubmitOptions bulk;
+  bulk.priority = Priority::kBulk;
+  bulk.deadline_ms = 1.0;
+  ServiceStats want;
+  // One round of traffic on a that moves every counter: hold a's only
+  // worker on an interactive request, queue two bulk requests that expire,
+  // then let a normal burst shed them at admission and a normal single
+  // bounce off the full queue.
+  const auto drive = [&] {
+    fault::arm_gate("serve.run_batch");
+    std::vector<std::future<InferenceResult>> served;
+    served.push_back(
+        registry.submit("a", "v1", fx.data.test.sample(0), interactive));
+    fault::wait_for_hits("serve.run_batch", 1);
+    auto shed = registry.submit_batch(
+        "a", "v1", {fx.data.test.sample(1), fx.data.test.sample(2)}, bulk);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    for (auto& f : registry.submit_batch(
+             "a", "v1", {fx.data.test.sample(3), fx.data.test.sample(4)})) {
+      served.push_back(std::move(f));
+    }
+    EXPECT_THROW((void)registry.submit("a", "v1", fx.data.test.sample(5)),
+                 Unavailable);
+    fault::disarm("serve.run_batch");
+    std::int64_t clips = 0;
+    for (auto& f : served) clips += f.get().clip_count;
+    for (auto& f : shed) EXPECT_THROW((void)f.get(), DeadlineExceeded);
+    EXPECT_GT(clips, 0);
+    want.requests += 3;
+    want.batches += 3;
+    want.clip_events += clips;
+    want.rejected += 1;
+    want.deadline_misses += 2;
+    want.completed_by_priority[kInteractive] += 1;
+    want.completed_by_priority[kNormal] += 2;
+    want.deadline_misses_by_priority[kBulk] += 2;
+  };
+
+  drive();
+  expect_same_counters(model_of(registry.stats(), "a").stats, want,
+                       "resident");
+
+  // LRU eviction: touching b (budget 1) retires a's service.
+  (void)registry.submit("b", "v1", fx.data.test.sample(0)).get();
+  EXPECT_FALSE(registry.resident("a", "v1"));
+  expect_same_counters(model_of(registry.stats(), "a").stats, want,
+                       "after eviction");
+
+  // Re-materialize a with a second round, then hot-swap it: reload()
+  // retires the new service.
+  drive();
+  expect_same_counters(model_of(registry.stats(), "a").stats, want,
+                       "re-materialized");
+  registry.reload("a", "v1", path_a);
+  EXPECT_FALSE(registry.resident("a", "v1"));
+  expect_same_counters(model_of(registry.stats(), "a").stats, want,
+                       "after reload");
+
+  // A bulk request waiting behind a's (gated) cold load sheds at its
+  // deadline and is counted under its own class.
+  fault::arm_gate("registry.materialize");
+  std::int64_t clips = 0;
+  std::thread loader([&] {
+    clips = registry.submit("a", "v1", fx.data.test.sample(0))
+                .get()
+                .clip_count;
+  });
+  fault::wait_for_hits("registry.materialize", 1);
+  SubmitOptions waiting = bulk;
+  waiting.deadline_ms = 20.0;
+  EXPECT_THROW(
+      (void)registry.submit("a", "v1", fx.data.test.sample(0), waiting),
+      DeadlineExceeded);
+  fault::open_gate("registry.materialize");
+  loader.join();
+  want.requests += 1;
+  want.batches += 1;
+  want.clip_events += clips;
+  want.completed_by_priority[kNormal] += 1;
+  want.deadline_misses += 1;
+  want.deadline_misses_by_priority[kBulk] += 1;
+  expect_same_counters(model_of(registry.stats(), "a").stats, want,
+                       "after the load-wait shed");
+
+  registry.reset_stats();
+  const RegistrySnapshot fresh = registry.stats();
+  for (const ModelSnapshot& m : fresh.models) {
+    expect_same_counters(m.stats, ServiceStats{}, "reset " + m.name);
+  }
+  EXPECT_EQ(fresh.requests, 0);
+  EXPECT_EQ(fresh.rejected, 0);
+  EXPECT_EQ(fresh.deadline_misses, 0);
+  std::remove(path_a.c_str());
 }
 
 }  // namespace
