@@ -69,7 +69,8 @@ std::vector<std::vector<int>> mvm_weights(Rng& rng, std::int64_t rows,
 }
 
 /// MVM in all three kernel regimes: ideal wide-ADC (direct int64 path),
-/// ideal starved-ADC (integer bit-serial path), and non-ideal (analog path).
+/// ideal starved-ADC (the bit-serial loop on exact levels), and non-ideal
+/// (the bit-serial loop on perturbed levels).
 void BM_CrossbarMvm(benchmark::State& state) {
   Rng rng(4);
   const std::int64_t rows = 128, cols = 16;
@@ -89,8 +90,8 @@ void BM_CrossbarMvm(benchmark::State& state) {
 BENCHMARK(BM_CrossbarMvm)
     ->ArgNames({"adc", "noisy"})
     ->Args({12, 0})   // ideal, wide ADC: direct integer path
-    ->Args({8, 0})    // ideal, starved ADC: integer bit-serial path
-    ->Args({12, 1});  // non-ideal: analog path
+    ->Args({8, 0})    // ideal, starved ADC: bit-serial loop, exact levels
+    ->Args({12, 1});  // non-ideal: bit-serial loop, perturbed levels
 
 void BM_DatapathLayer(benchmark::State& state) {
   Rng rng(5);

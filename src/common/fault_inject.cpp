@@ -4,10 +4,12 @@
 #include <cstdlib>
 #include <map>
 #include <utility>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/thread_annotations.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -309,24 +311,6 @@ std::int64_t fires(const std::string& point) {
   auto it = registry.points.find(point);
   return it == registry.points.end() ? 0 : it->second.fire_count;
 }
-
-std::vector<PointStatus> status() {
-  FaultRegistry& registry = fault_registry();
-  MutexLock lock(registry.mu);
-  std::vector<PointStatus> out;
-  out.reserve(registry.points.size());
-  for (const auto& [name, point] : registry.points) {
-    PointStatus s;
-    s.point = name;
-    s.armed = point.armed;
-    s.hits = point.hit_count;
-    s.fires = point.fire_count;
-    out.push_back(std::move(s));
-  }
-  return out;
-}
-
-Mutex& registry_mutex() { return fault_registry().mu; }
 
 }  // namespace fault
 }  // namespace epim

@@ -62,9 +62,6 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <vector>
-
-#include "common/thread_annotations.hpp"
 
 namespace epim {
 namespace fault {
@@ -72,17 +69,6 @@ namespace fault {
 /// Message prefix of every injected failure (pinned by tests): the
 /// exceptions faults raise must be distinguishable from organic ones.
 inline constexpr const char* kErrInjected = "injected fault";
-
-/// Introspection snapshot of one point (see status()).
-struct PointStatus {
-  std::string point;
-  bool armed = false;
-  /// Trigger evaluations since the point was (last) armed. Disarmed points
-  /// are never counted -- the fast path returns before any bookkeeping.
-  std::int64_t hits = 0;
-  /// Times the trigger actually fired.
-  std::int64_t fires = 0;
-};
 
 namespace detail {
 /// Count of currently-armed points. The ONLY state the fast path reads.
@@ -159,17 +145,6 @@ void disarm_all();
 /// model's requests never touch the load path.
 std::int64_t hits(const std::string& point);
 std::int64_t fires(const std::string& point);
-
-/// Snapshot of every point ever armed (diagnostics).
-std::vector<PointStatus> status();
-
-/// The fault registry's internal mutex, exposed ONLY so lock-order
-/// annotations elsewhere can name it in EPIM_ACQUIRED_BEFORE (the attribute
-/// needs an in-scope capability expression). Never lock it directly. (No
-/// in-tree annotation names it since the registry lock stopped covering
-/// fault points; kept for future layers that nest a fault point under a
-/// lock of their own.)
-Mutex& registry_mutex();
 
 }  // namespace fault
 }  // namespace epim

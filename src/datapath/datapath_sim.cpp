@@ -28,7 +28,7 @@ Tensor DatapathSimulator::run(const Tensor& input) {
                              conv.pad);  // (oh*ow, cin*kh*kw)
   Tensor out({conv.out_channels, oh, ow});
   const float* wdata = epitome_.weights().data();
-  const std::int64_t wq = spec.q, wpq = spec.p * spec.q;
+  const std::int64_t wpq = spec.p * spec.q;
   const std::int64_t wstride_co = spec.cin_e * wpq;
 
   std::vector<std::vector<float>> partials(
@@ -67,7 +67,6 @@ Tensor DatapathSimulator::run(const Tensor& input) {
         }
       }
       stats_.crossbar_rounds += 1;
-      (void)wq;
     }
     // Phase 2: the joint module merges rounds into the output buffer.
     for (const OfatEntry& oe : tables_.ofat()) {

@@ -5,7 +5,6 @@
 #include <functional>
 
 #include "common/check.hpp"
-#include "common/math_util.hpp"
 #include "common/rng.hpp"
 
 namespace epim {
@@ -13,7 +12,7 @@ namespace epim {
 CrossbarArray::CrossbarArray(const CrossbarConfig& config, int weight_bits,
                              const std::vector<std::vector<int>>& weights,
                              const NonIdealityConfig& non_ideal)
-    : config_(config), weight_bits_(weight_bits) {
+    : config_(config) {
   rows_ = static_cast<std::int64_t>(weights.size());
   EPIM_CHECK(rows_ > 0 && rows_ <= config.rows,
              "crossbar row count out of range");
@@ -30,15 +29,10 @@ CrossbarArray::CrossbarArray(const CrossbarConfig& config, int weight_bits,
   const std::int64_t lo = -offset_, hi = offset_ - 1;
   const int radix_bits = config.cell_bits;
   const int radix_mask = (1 << radix_bits) - 1;
-  const double level_max = static_cast<double>(radix_mask);
-  ideal_ = non_ideal.ideal();
-  Rng rng(non_ideal.seed);
-  const std::size_t plane = static_cast<std::size_t>(rows_ * cols_);
-  cells_.assign(static_cast<std::size_t>(slices_) * plane, 0.0);
-  if (ideal_) {
-    digits_.assign(cells_.size(), 0);
-    signed_weights_.assign(plane, 0);
-  }
+  // Worst-case per-cycle column current of an ideal array: every row enabled
+  // and driving a one bit. If even that fits the ADC, no input can ever clip
+  // and the whole bit-serial schedule collapses to one integer dot product.
+  std::vector<std::int64_t> worst(static_cast<std::size_t>(slices_ * cols_), 0);
   for (std::int64_t r = 0; r < rows_; ++r) {
     EPIM_CHECK(static_cast<std::int64_t>(weights[static_cast<std::size_t>(r)]
                                              .size()) == cols_,
@@ -51,48 +45,49 @@ CrossbarArray::CrossbarArray(const CrossbarConfig& config, int weight_bits,
                      "-bit encoding");
       std::int64_t stored = static_cast<std::int64_t>(w) + offset_;
       for (std::int64_t s = 0; s < slices_; ++s) {
-        const std::int64_t digit = stored & radix_mask;
-        double level = static_cast<double>(digit);
-        if (!ideal_) {
-          // Write-time variation and hard faults, applied once per cell.
-          if (non_ideal.stuck_at_zero_prob > 0.0 &&
-              rng.flip(non_ideal.stuck_at_zero_prob)) {
-            level = 0.0;
-          } else if (non_ideal.stuck_at_max_prob > 0.0 &&
-                     rng.flip(non_ideal.stuck_at_max_prob)) {
-            level = level_max;
-          } else if (non_ideal.conductance_sigma > 0.0) {
-            level = std::clamp(
-                level + rng.normal(0.0, non_ideal.conductance_sigma), 0.0,
-                level_max);
-          }
-        }
-        const std::size_t idx =
-            static_cast<std::size_t>((s * rows_ + r) * cols_ + c);
-        cells_[idx] = level;
-        if (ideal_) digits_[idx] = static_cast<std::int32_t>(digit);
+        worst[static_cast<std::size_t>(s * cols_ + c)] += stored & radix_mask;
         stored >>= radix_bits;
-      }
-      if (ideal_) {
-        signed_weights_[static_cast<std::size_t>(r * cols_ + c)] = w;
       }
     }
   }
-  if (ideal_) {
-    // Worst-case per-cycle column current: every row enabled and driving a
-    // one bit. If even that fits the ADC, no input can ever clip and the
-    // whole bit-serial schedule collapses to one integer dot product.
-    const std::int64_t adc_max = (std::int64_t{1} << config_.adc_bits) - 1;
-    std::int64_t worst = 0;
-    for (std::int64_t s = 0; s < slices_; ++s) {
-      for (std::int64_t c = 0; c < cols_; ++c) {
-        std::int64_t sum = 0;
-        const std::int32_t* col = digits_.data() + s * rows_ * cols_ + c;
-        for (std::int64_t r = 0; r < rows_; ++r) sum += col[r * cols_];
-        worst = std::max(worst, sum);
+  const std::int64_t adc_max = (std::int64_t{1} << config_.adc_bits) - 1;
+  direct_ = non_ideal.ideal() &&
+            *std::max_element(worst.begin(), worst.end()) <= adc_max;
+  if (direct_) {
+    signed_weights_.reserve(static_cast<std::size_t>(rows_ * cols_));
+    for (const std::vector<int>& row : weights) {
+      signed_weights_.insert(signed_weights_.end(), row.begin(), row.end());
+    }
+    return;
+  }
+  const double level_max = static_cast<double>(radix_mask);
+  Rng rng(non_ideal.seed);
+  cells_.resize(static_cast<std::size_t>(slices_ * rows_ * cols_));
+  for (std::int64_t r = 0; r < rows_; ++r) {
+    for (std::int64_t c = 0; c < cols_; ++c) {
+      std::int64_t stored =
+          static_cast<std::int64_t>(weights[static_cast<std::size_t>(r)]
+                                           [static_cast<std::size_t>(c)]) +
+          offset_;
+      for (std::int64_t s = 0; s < slices_; ++s) {
+        double level = static_cast<double>(stored & radix_mask);
+        // Write-time variation and hard faults, applied once per cell (no
+        // draws at all on an ideal array).
+        if (non_ideal.stuck_at_zero_prob > 0.0 &&
+            rng.flip(non_ideal.stuck_at_zero_prob)) {
+          level = 0.0;
+        } else if (non_ideal.stuck_at_max_prob > 0.0 &&
+                   rng.flip(non_ideal.stuck_at_max_prob)) {
+          level = level_max;
+        } else if (non_ideal.conductance_sigma > 0.0) {
+          level = std::clamp(
+              level + rng.normal(0.0, non_ideal.conductance_sigma), 0.0,
+              level_max);
+        }
+        cells_[static_cast<std::size_t>((s * rows_ + r) * cols_ + c)] = level;
+        stored >>= radix_bits;
       }
     }
-    never_clips_ = worst <= adc_max;
   }
 }
 
@@ -106,9 +101,33 @@ namespace {
 thread_local std::vector<std::int32_t> t_active;
 thread_local std::vector<double> t_current_analog;
 thread_local std::vector<std::int32_t> t_lit;
-thread_local std::vector<std::int64_t> t_current_ideal;
+
+/// cur[c] = the sum of plane[r * cols + c] over the rows r in `lit`
+/// (ascending), added in ascending row order. Internal linkage so the
+/// bit-serial loop inlines it; column_currents() exposes it to tests.
+void sum_lit_rows(const double* plane, std::int64_t cols,
+                  std::span<const std::int32_t> lit, double* cur) {
+  std::fill(cur, cur + cols, 0.0);
+  // Two rows per pass over the columns: (cur + a) + b rounds exactly as two
+  // one-row passes do, so the sums stay bit-identical.
+  std::size_t k = 0;
+  for (; k + 1 < lit.size(); k += 2) {
+    const double* a = plane + static_cast<std::int64_t>(lit[k]) * cols;
+    const double* b = plane + static_cast<std::int64_t>(lit[k + 1]) * cols;
+    for (std::int64_t c = 0; c < cols; ++c) cur[c] = cur[c] + a[c] + b[c];
+  }
+  if (k < lit.size()) {
+    const double* a = plane + static_cast<std::int64_t>(lit[k]) * cols;
+    for (std::int64_t c = 0; c < cols; ++c) cur[c] += a[c];
+  }
+}
 
 }  // namespace
+
+void CrossbarArray::column_currents(std::span<const std::int32_t> lit,
+                                    std::int64_t slice, double* cur) const {
+  sum_lit_rows(cells_.data() + slice * rows_ * cols_, cols_, lit, cur);
+}
 
 void CrossbarArray::mvm_analog(std::span<const std::uint32_t> input,
                                std::span<const std::int32_t> active,
@@ -118,11 +137,10 @@ void CrossbarArray::mvm_analog(std::span<const std::uint32_t> input,
   const int radix_bits = config_.cell_bits;
   // Bit-serial input streaming: cycle t drives input bit t on every enabled
   // word line; each slice's column current is digitized and shift-added.
-  // (Row-major accumulation in ascending row order: word lines whose input
-  // bit is zero draw no current and are skipped outright.)
+  // (Word lines whose input bit is zero draw no current and are skipped.)
   std::vector<double>& current = t_current_analog;
   std::vector<std::int32_t>& lit = t_lit;
-  current.assign(static_cast<std::size_t>(cols_), 0.0);
+  current.resize(static_cast<std::size_t>(cols_));
   for (int t = 0; t < act_bits; ++t) {
     // The word lines driving a one in cycle t, shared by every slice.
     lit.clear();
@@ -130,22 +148,8 @@ void CrossbarArray::mvm_analog(std::span<const std::uint32_t> input,
       if ((input[static_cast<std::size_t>(r)] >> t) & 1u) lit.push_back(r);
     }
     for (std::int64_t s = 0; s < slices_; ++s) {
-      const double* plane = cells_.data() + s * rows_ * cols_;
-      double* cur = current.data();
-      std::fill(cur, cur + cols_, 0.0);
-      // Two rows per pass over the columns: (cur + a) + b rounds exactly as
-      // two one-row passes do, so the sums stay bit-identical.
-      std::size_t k = 0;
-      for (; k + 1 < lit.size(); k += 2) {
-        const double* a = plane + static_cast<std::int64_t>(lit[k]) * cols_;
-        const double* b =
-            plane + static_cast<std::int64_t>(lit[k + 1]) * cols_;
-        for (std::int64_t c = 0; c < cols_; ++c) cur[c] = cur[c] + a[c] + b[c];
-      }
-      if (k < lit.size()) {
-        const double* a = plane + static_cast<std::int64_t>(lit[k]) * cols_;
-        for (std::int64_t c = 0; c < cols_; ++c) cur[c] += a[c];
-      }
+      sum_lit_rows(cells_.data() + s * rows_ * cols_, cols_, lit,
+                   current.data());
       for (std::int64_t c = 0; c < cols_; ++c) {
         // The ADC digitizes the analog column current to an integer code.
         std::int64_t code = static_cast<std::int64_t>(
@@ -155,38 +159,6 @@ void CrossbarArray::mvm_analog(std::span<const std::uint32_t> input,
           ++clips;
         }
         if (code < 0) code = 0;
-        acc[c] += code << (t + static_cast<int>(s) * radix_bits);
-      }
-    }
-  }
-}
-
-void CrossbarArray::mvm_ideal_serial(std::span<const std::uint32_t> input,
-                                     std::span<const std::int32_t> active,
-                                     int act_bits, std::int64_t* acc,
-                                     std::int64_t& clips) const {
-  // Same schedule as the analog path, but on exact integer digits: column
-  // sums of small non-negative integers are exactly representable, so this
-  // is bit-identical to digitizing the double-precision currents.
-  const std::int64_t adc_max = (std::int64_t{1} << config_.adc_bits) - 1;
-  const int radix_bits = config_.cell_bits;
-  std::vector<std::int64_t>& current = t_current_ideal;
-  current.assign(static_cast<std::size_t>(cols_), 0);
-  for (int t = 0; t < act_bits; ++t) {
-    for (std::int64_t s = 0; s < slices_; ++s) {
-      const std::int32_t* plane = digits_.data() + s * rows_ * cols_;
-      std::fill(current.begin(), current.end(), 0);
-      for (const std::int32_t r : active) {
-        if (((input[static_cast<std::size_t>(r)] >> t) & 1u) == 0u) continue;
-        const std::int32_t* row = plane + static_cast<std::int64_t>(r) * cols_;
-        for (std::int64_t c = 0; c < cols_; ++c) current[c] += row[c];
-      }
-      for (std::int64_t c = 0; c < cols_; ++c) {
-        std::int64_t code = current[static_cast<std::size_t>(c)];
-        if (code > adc_max) {  // saturating ADC
-          code = adc_max;
-          ++clips;
-        }
         acc[c] += code << (t + static_cast<int>(s) * radix_bits);
       }
     }
@@ -210,7 +182,7 @@ void CrossbarArray::mvm(std::span<const std::uint32_t> input,
               "active row out of range");
   std::fill(out, out + cols_, std::int64_t{0});
 
-  if (ideal_ && never_clips_) {
+  if (direct_) {
     // Direct path: with exact digits and a wide ADC the shift-add over
     // cycles and slices telescopes to sum_r in[r] * (w[r][c] + offset) with
     // in[r] = input[r] truncated to act_bits, and the offset correction
@@ -255,11 +227,7 @@ void CrossbarArray::mvm(std::span<const std::uint32_t> input,
   }
 
   std::int64_t clips = 0;
-  if (ideal_) {
-    mvm_ideal_serial(input, active, act_bits, out, clips);
-  } else {
-    mvm_analog(input, active, act_bits, out, clips);
-  }
+  mvm_analog(input, active, act_bits, out, clips);
   // Remove the offset-binary bias: stored = w + offset, so the analog result
   // overcounts by offset * sum(enabled inputs).
   std::int64_t input_sum = 0;

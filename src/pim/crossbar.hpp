@@ -15,14 +15,16 @@
 // active word lines (ascending) next to a span of inputs indexed by row, so
 // a caller that knows its IFRT pattern ahead of time (PimLayerEngine builds
 // it once per layer) never materializes a mask; the vector<bool> overloads
-// build that list and call the same kernel. Two fast paths cover the
-// ideal-device case:
-//  * wide-ADC ideal arrays (no clipping possible for any input) collapse the
-//    whole bit-serial schedule into one int64 dot product per column;
-//  * narrow-ADC ideal arrays run the bit-serial schedule on integer digits,
-//    reproducing ADC saturation without double round-trips.
-// Both are bit-identical to the analog reference path, which non-ideal
-// arrays still take.
+// build that list and call the same kernel. Each array keeps only the weight
+// copy its regime reads, chosen once at construction:
+//  * ideal arrays whose ADC cannot clip for any input keep the signed
+//    weights and collapse the whole bit-serial schedule into one int64 dot
+//    product per column (the direct path);
+//  * every other array keeps its cell levels and runs the one bit-serial
+//    loop, which digitizes each (input bit, slice) column current through
+//    the saturating ADC. Ideal levels are small integers, exact in double,
+//    so an ideal array that can clip gets exact sums and exact clip counts.
+// The direct path is bit-identical to the bit-serial loop on ideal arrays.
 #pragma once
 
 #include <cstdint>
@@ -98,37 +100,35 @@ class CrossbarArray {
            std::int64_t* out, std::int64_t* clip_count) const;
 
  private:
-  /// Analog reference path (always taken by non-ideal arrays).
+  friend class CrossbarTestPeer;  // pins column_currents' summation order
+
+  /// The bit-serial loop (every array off the direct path).
   void mvm_analog(std::span<const std::uint32_t> input,
                   std::span<const std::int32_t> active, int act_bits,
                   std::int64_t* acc, std::int64_t& clips) const;
-  /// Ideal array, ADC too narrow for the worst-case column current:
-  /// bit-serial on integer digits, bit-identical saturation behaviour.
-  void mvm_ideal_serial(std::span<const std::uint32_t> input,
-                        std::span<const std::int32_t> active, int act_bits,
-                        std::int64_t* acc, std::int64_t& clips) const;
+  /// Pre-ADC column currents of one slice, summed exactly as the bit-serial
+  /// loop sums them: cur[c] = the levels of column c on the word lines in
+  /// `lit` (ascending), added in ascending row order. Test seam only.
+  void column_currents(std::span<const std::int32_t> lit, std::int64_t slice,
+                       double* cur) const;
 
   CrossbarConfig config_;
-  int weight_bits_;
   std::int64_t rows_ = 0;
   std::int64_t cols_ = 0;
   std::int64_t slices_ = 0;
   std::int64_t offset_ = 0;  ///< offset-binary bias: stored = w + offset
-  /// Programmed conductances in level units, one contiguous buffer:
-  /// cells_[(s * rows_ + r) * cols_ + c]. Exactly the digit of (w + offset)
-  /// for an ideal array; perturbed by the non-ideality model otherwise.
+  /// True for an ideal array whose ADC cannot clip for any input (worst
+  /// case: all rows enabled, all input bits set): it takes the direct path
+  /// and keeps only signed_weights_; every other array keeps only cells_.
+  bool direct_ = false;
+  /// Bit-serial arrays only: programmed conductances in level units, one
+  /// contiguous buffer: cells_[(s * rows_ + r) * cols_ + c]. Exactly the
+  /// digit of (w + offset) for an ideal array; perturbed by the
+  /// non-ideality model otherwise.
   std::vector<double> cells_;
-  /// Ideal arrays only: the same digits as integers (same flat layout), the
-  /// operands of the bit-serial integer fast path.
-  std::vector<std::int32_t> digits_;
-  /// Ideal arrays only: the signed logical weights, row-major (rows x cols),
-  /// the operands of the direct int64 fast path.
+  /// Direct-path arrays only: the signed logical weights, row-major
+  /// (rows x cols).
   std::vector<std::int64_t> signed_weights_;
-  bool ideal_ = true;
-  /// True when no per-cycle column current can exceed the ADC range for any
-  /// input (precomputed worst case: all rows enabled, all input bits set);
-  /// licenses the direct integer path, which skips the ADC entirely.
-  bool never_clips_ = false;
 };
 
 }  // namespace epim

@@ -616,7 +616,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         // Ideal, 12-bit ADC: the direct int64 kernel.
         EngineRegime{"ideal_direct", 12, {}, false},
-        // Ideal, starved 4-bit ADC: the integer bit-serial kernel, clipping.
+        // Ideal, starved 4-bit ADC: the bit-serial kernel on exact levels.
         EngineRegime{"ideal_serial", 4, {}, true},
         // Write variation and stuck-at faults: the analog kernel.
         EngineRegime{"analog", 12, faulty(), false}),

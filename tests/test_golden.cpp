@@ -10,6 +10,9 @@
 // the pins hold across gcc/clang at any thread count.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "nn/resnet.hpp"
 #include "nn/vgg.hpp"
 #include "pipeline/pipeline.hpp"
@@ -97,6 +100,72 @@ TEST(GoldenQuickstart, TrainDeployAccuracyPinned) {
   EXPECT_DOUBLE_EQ(chip.evaluate(data.test, &clips), 0.62);
   EXPECT_EQ(clips, 0);
 }
+
+/// One uniform ResNet-50 design point at A9 and the default seed: the
+/// projected top-1 and the quantization noise it is projected from.
+struct AccuracyPin {
+  const char* name;
+  int weight_bits;
+  RangeScheme scheme;
+  double weighted_mse, weight_power, projected_accuracy;
+};
+
+void PrintTo(const AccuracyPin& p, std::ostream* os) {
+  *os << p.name << " W" << p.weight_bits << ' '
+      << range_scheme_name(p.scheme);
+}
+
+class GoldenAccuracy : public ::testing::TestWithParam<AccuracyPin> {};
+
+TEST_P(GoldenAccuracy, ResNet50UniformProjectionPinnedExactly) {
+  // The summary prints accuracy to two decimals; these pins are exact, so
+  // any change to the noise measurement or the projection shows here.
+  const AccuracyPin& p = GetParam();
+  PipelineConfig cfg;
+  cfg.precision = PrecisionPlan::uniform(p.weight_bits, 9);
+  cfg.quant.scheme = p.scheme;
+  const CompiledModel model = Pipeline{cfg}.compile(resnet50());
+  const auto& eval = model.estimate();
+  EXPECT_EQ(eval.weighted_mse, p.weighted_mse);
+  EXPECT_EQ(eval.weight_power, p.weight_power);
+  EXPECT_EQ(eval.projected_accuracy, p.projected_accuracy);
+}
+
+std::string accuracy_pin_name(
+    const ::testing::TestParamInfo<AccuracyPin>& info) {
+  return info.param.name;
+}
+
+// The four uniform estimates of epimbench's design-sweep workload, under
+// the default (overlap-weighted) range scheme.
+INSTANTIATE_TEST_SUITE_P(
+    DesignSweep, GoldenAccuracy,
+    ::testing::Values(
+        AccuracyPin{"W9", 9, RangeScheme::kOverlapWeighted,
+                    5.3321405275602664e-07, 0.0038471462144105519,
+                    73.956440471399375},
+        AccuracyPin{"W7", 7, RangeScheme::kOverlapWeighted,
+                    6.4842445155109331e-06, 0.0038471462144105519,
+                    73.848098497518876},
+        AccuracyPin{"W5", 5, RangeScheme::kOverlapWeighted,
+                    0.00010660817213514603, 0.0038471462144105519,
+                    73.384075291771325},
+        AccuracyPin{"W3", 3, RangeScheme::kOverlapWeighted,
+                    0.0016198602277670412, 0.0038471462144105519,
+                    71.599116156663797}),
+    accuracy_pin_name);
+
+// The other two range schemes at W3, where the schemes differ most (the
+// overlap-weighted W3 point is DesignSweep/W3).
+INSTANTIATE_TEST_SUITE_P(
+    RangeSchemes, GoldenAccuracy,
+    ::testing::Values(
+        AccuracyPin{"MinMax", 3, RangeScheme::kMinMax, 0.001910993471727422,
+                    0.0038471462144105519, 71.392273864954106},
+        AccuracyPin{"PerCrossbar", 3, RangeScheme::kPerCrossbar,
+                    0.0016498343780429906, 0.0038471462144105519,
+                    71.577004808282069}),
+    accuracy_pin_name);
 
 }  // namespace
 }  // namespace epim

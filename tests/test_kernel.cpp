@@ -1,22 +1,38 @@
 // Golden-vector tests for the contiguous-memory crossbar kernel: the
-// rewritten CrossbarArray (flat cell store, enabled-row index list, integer
-// fast paths) must be bit-identical to the seed implementation in every
-// regime -- ideal wide-ADC (direct integer path), ideal starved-ADC
-// (integer bit-serial path with saturation), and non-ideal (analog path),
-// including partial row_enable masks and the clip diagnostics. The span
-// overload (active-row list instead of a mask) is pinned the same way.
+// rewritten CrossbarArray (flat cell store, enabled-row index list, direct
+// integer path) must be bit-identical to the seed implementation in every
+// regime -- ideal wide-ADC (direct int64 path), ideal starved-ADC (the
+// bit-serial loop on exact levels, with saturation), and non-ideal (the
+// bit-serial loop on perturbed levels), including partial row_enable masks
+// and the clip diagnostics. The span overload (active-row list instead of
+// a mask) is pinned the same way, and so is the bit-serial loop's pre-ADC
+// summation order, which the end-to-end outputs cannot see.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <ostream>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "pim/crossbar.hpp"
 
 namespace epim {
+
+/// Test-only access to the bit-serial loop's per-(bit, slice) current
+/// accumulation.
+class CrossbarTestPeer {
+ public:
+  static void column_currents(const CrossbarArray& array,
+                              std::span<const std::int32_t> lit,
+                              std::int64_t slice, double* cur) {
+    array.column_currents(lit, slice, cur);
+  }
+};
+
 namespace {
 
 /// Verbatim port of the seed (pre-flat-layout) CrossbarArray: nested
@@ -119,6 +135,11 @@ class SeedCrossbar {
   }
 
   std::int64_t last_clip_count() const { return clip_count_; }
+
+  double cell(std::int64_t s, std::int64_t r, std::int64_t c) const {
+    return cells_[static_cast<std::size_t>(s)][static_cast<std::size_t>(r)]
+                 [static_cast<std::size_t>(c)];
+  }
 
  private:
   CrossbarConfig config_;
@@ -252,10 +273,10 @@ INSTANTIATE_TEST_SUITE_P(
         GoldenCase{"ideal_wide", 128, 16, 9, 9, 12, {}, 0.8},
         GoldenCase{"ideal_wide_full", 64, 32, 6, 8, 12, {}, 1.0},
         GoldenCase{"ideal_wide_sparse", 37, 5, 5, 7, 12, {}, 0.3},
-        // Ideal + starved ADC: integer bit-serial path with saturation.
+        // Ideal + starved ADC: bit-serial loop on exact levels, saturating.
         GoldenCase{"ideal_clip", 64, 8, 8, 8, 3, {}, 1.0},
         GoldenCase{"ideal_clip_partial", 96, 12, 7, 6, 4, {}, 0.6},
-        // Non-ideal: analog double-precision path, same RNG draw order.
+        // Non-ideal: bit-serial loop on perturbed levels, same RNG order.
         GoldenCase{"noisy", 64, 8, 6, 6, 12, noisy(), 0.8},
         GoldenCase{"noisy_starved", 48, 6, 8, 8, 4, noisy(), 1.0},
         GoldenCase{"sigma", 128, 16, 9, 9, 12, sigma_only(), 0.7},
@@ -300,6 +321,50 @@ TEST(KernelFastPath, ClipCountAccumulatesThroughThreadSafeOverload) {
   EXPECT_GT(once, 0);
   kernel.mvm(x, en, 8, acc, &clips);  // accumulates, does not reset
   EXPECT_EQ(clips, 2 * once);
+}
+
+TEST(KernelAnalogOrder, ColumnCurrentsSumLitRowsInAscendingOrder) {
+  // Perturbed levels are not integers, so double addition is not
+  // associative on them: the pre-ADC column currents must equal, bit for
+  // bit, the seed's one-row-at-a-time sum in ascending row order. Any
+  // regrouping (e.g. cur + (a + b) for two rows per pass) rounds
+  // differently, though llround and the ADC usually hide it downstream.
+  for (const NonIdealityConfig& ni : {noisy(), sigma_only()}) {
+    CrossbarConfig cfg;
+    Rng rng(0x0DDE7u);
+    const std::int64_t rows = 96, cols = 16;
+    const int weight_bits = 8;
+    std::vector<std::vector<int>> w(
+        static_cast<std::size_t>(rows),
+        std::vector<int>(static_cast<std::size_t>(cols)));
+    for (auto& row : w) {
+      for (auto& v : row) v = rng.uniform_int(-128, 127);
+    }
+    const CrossbarArray kernel(cfg, weight_bits, w, ni);
+    const SeedCrossbar seed(cfg, weight_bits, w, ni);
+    const std::int64_t slices = cfg.weight_slices(weight_bits);
+    for (int trial = 0; trial < 16; ++trial) {
+      // Lit-row lists of every parity and density, down to empty.
+      std::vector<std::int32_t> lit;
+      const double density = trial / 15.0;
+      for (std::int64_t r = 0; r < rows; ++r) {
+        if (rng.flip(density)) lit.push_back(static_cast<std::int32_t>(r));
+      }
+      for (std::int64_t s = 0; s < slices; ++s) {
+        std::vector<double> got(static_cast<std::size_t>(cols), -1.0);
+        CrossbarTestPeer::column_currents(kernel, lit, s, got.data());
+        for (std::int64_t c = 0; c < cols; ++c) {
+          double want = 0.0;
+          for (const std::int32_t r : lit) want += seed.cell(s, r, c);
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                        got[static_cast<std::size_t>(c)]),
+                    std::bit_cast<std::uint64_t>(want))
+              << "trial " << trial << " lit " << lit.size() << " slice "
+              << s << " col " << c;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
