@@ -52,7 +52,9 @@ void BM_EpitomeQuantize(benchmark::State& state) {
   cfg.bits = static_cast<int>(state.range(0));
   const EpitomeQuantizer quantizer(cfg);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(quantizer.quantize(e));
+    QuantNoise noise;
+    benchmark::DoNotOptimize(quantizer.quantize(e, noise));
+    benchmark::DoNotOptimize(noise);
   }
 }
 BENCHMARK(BM_EpitomeQuantize)->Arg(3)->Arg(9);

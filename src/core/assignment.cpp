@@ -38,6 +38,18 @@ const std::optional<EpitomeSpec>& NetworkAssignment::choice(
   return choices_[static_cast<std::size_t>(layer)];
 }
 
+Epitome NetworkAssignment::random_epitome(std::int64_t layer,
+                                          Rng& rng) const {
+  const ConvSpec& conv = layers_[static_cast<std::size_t>(layer)].conv;
+  const std::optional<EpitomeSpec>& spec = choice(layer);
+  return Epitome::random(spec.has_value()
+                             ? *spec
+                             : EpitomeSpec{conv.kernel_h, conv.kernel_w,
+                                           conv.in_channels,
+                                           conv.out_channels, 1, false},
+                         conv, rng);
+}
+
 void NetworkAssignment::set_choice(std::int64_t layer,
                                    std::optional<EpitomeSpec> spec) {
   EPIM_CHECK(layer >= 0 && layer < num_layers(), "layer index out of range");

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/designer.hpp"
+#include "core/epitome.hpp"
 #include "core/sample_plan.hpp"
 #include "nn/network.hpp"
 
@@ -37,6 +38,10 @@ class NetworkAssignment {
 
   /// The weighted layer specs (convs + fc) the choices refer to.
   const std::vector<ConvLayerInfo>& layers() const { return layers_; }
+
+  /// A He-initialized probe of one layer's weights: its assigned epitome,
+  /// or the degenerate (conv-sized) epitome when it keeps its convolution.
+  Epitome random_epitome(std::int64_t layer, Rng& rng) const;
 
   /// Enable/disable output channel wrapping on every epitome layer.
   void set_wrap_output(bool wrap);

@@ -42,7 +42,8 @@ struct RegionStats {
 
 }  // namespace
 
-QuantizedEpitome EpitomeQuantizer::quantize(const Epitome& epitome) const {
+QuantizedEpitome EpitomeQuantizer::quantize(const Epitome& epitome,
+                                            QuantNoise& noise) const {
   const EpitomeSpec& spec = epitome.spec();
   const std::int64_t rows = spec.rows();
   const std::int64_t cols = spec.cout_e;
@@ -51,7 +52,7 @@ QuantizedEpitome EpitomeQuantizer::quantize(const Epitome& epitome) const {
 
   // Logical-matrix view: element (row, col) with row = (e_ci*p+py)*q+qx is
   // exactly w(col, row-as-flat-within-channel) because the weight tensor is
-  // row-major (cout_e, cin_e, p, q).
+  // row-major (cout_e, cin_e, p, q). Walking rows innermost is contiguous.
   auto wval = [&](std::int64_t r, std::int64_t c) {
     return static_cast<double>(w.at(c * rows + r));
   };
@@ -62,8 +63,6 @@ QuantizedEpitome EpitomeQuantizer::quantize(const Epitome& epitome) const {
   QuantizedEpitome out;
   out.blocks_r = ceil_div(rows, config_.xbar_rows);
   out.blocks_c = ceil_div(cols, config_.xbar_cols);
-  out.qmatrix.assign(static_cast<std::size_t>(rows),
-                     std::vector<int>(static_cast<std::size_t>(cols), 0));
   out.dequant_weights = Tensor(w.shape());
   out.block_params.reserve(
       static_cast<std::size_t>(out.blocks_r * out.blocks_c));
@@ -83,14 +82,14 @@ QuantizedEpitome EpitomeQuantizer::quantize(const Epitome& epitome) const {
         // Per-block repetition mean splits overlap vs. others (Fig. 2(c):
         // the centre of the epitome is repeated more than the borders).
         double rep_sum = 0.0;
-        for (std::int64_t r = r0; r < r1; ++r) {
-          for (std::int64_t c = c0; c < c1; ++c) rep_sum += rval(r, c);
+        for (std::int64_t c = c0; c < c1; ++c) {
+          for (std::int64_t r = r0; r < r1; ++r) rep_sum += rval(r, c);
         }
         const double rep_mean =
             rep_sum / static_cast<double>((r1 - r0) * (c1 - c0));
         RegionStats s;
-        for (std::int64_t r = r0; r < r1; ++r) {
-          for (std::int64_t c = c0; c < c1; ++c) {
+        for (std::int64_t c = c0; c < c1; ++c) {
+          for (std::int64_t r = r0; r < r1; ++r) {
             const double v = wval(r, c);
             if (rval(r, c) >= rep_mean) {
               s.min_overlap = std::min(s.min_overlap, v);
@@ -121,30 +120,26 @@ QuantizedEpitome EpitomeQuantizer::quantize(const Epitome& epitome) const {
       }
       out.block_params.push_back(params);
 
-      for (std::int64_t r = r0; r < r1; ++r) {
-        for (std::int64_t c = c0; c < c1; ++c) {
-          const double v = wval(r, c);
-          const std::int64_t code = params.quantize(v);
-          out.qmatrix[static_cast<std::size_t>(r)]
-                     [static_cast<std::size_t>(c)] = params.signed_code(code);
-          out.dequant_weights.at(c * rows + r) =
-              static_cast<float>(params.dequantize(code));
+      for (std::int64_t c = c0; c < c1; ++c) {
+        for (std::int64_t r = r0; r < r1; ++r) {
+          out.dequant_weights.at(c * rows + r) = static_cast<float>(
+              params.dequantize(params.quantize(wval(r, c))));
         }
       }
     }
   }
 
-  // Error metrics.
-  double se = 0.0, wse = 0.0, rep_total = 0.0;
+  // Error sums, in flat element order so a caller's running totals over
+  // many epitomes are one sequence of additions.
   for (std::int64_t i = 0; i < w.numel(); ++i) {
     const double d =
         static_cast<double>(w.at(i)) - out.dequant_weights.at(i);
-    se += d * d;
-    wse += static_cast<double>(rep.at(i)) * d * d;
-    rep_total += rep.at(i);
+    noise.wse += static_cast<double>(rep.at(i)) * d * d;
+    noise.rep_total += rep.at(i);
+    noise.se += d * d;
+    noise.power += static_cast<double>(w.at(i)) * w.at(i);
+    ++noise.count;
   }
-  out.plain_mse = se / static_cast<double>(w.numel());
-  out.weighted_mse = rep_total > 0 ? wse / rep_total : 0.0;
   return out;
 }
 

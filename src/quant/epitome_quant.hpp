@@ -13,9 +13,11 @@
 //                        times in the reconstructed convolution) are
 //                        represented more faithfully.
 //
-// The quantizer reports both the plain elementwise MSE and the repetition-
-// weighted MSE; the latter is the error actually injected into the
-// reconstructed convolution and is the quantity the overlap scheme improves.
+// The quantizer adds each epitome's error to a caller-owned QuantNoise, so
+// one running sum spans a whole network. It yields the plain elementwise
+// MSE and the repetition-weighted MSE; the latter is the error actually
+// injected into the reconstructed convolution and is the quantity the
+// overlap scheme improves.
 #pragma once
 
 #include <cstdint>
@@ -42,21 +44,36 @@ struct QuantConfig {
   std::int64_t xbar_cols = 128;
 };
 
-/// Quantized epitome: integer codes laid out as the logical weight matrix
-/// (word line x epitome output channel) ready for crossbar programming, the
-/// per-block parameters, and a fake-quantized float epitome for accuracy
-/// evaluation.
+/// Quantized epitome: the per-block parameters and a fake-quantized float
+/// epitome for accuracy evaluation.
 struct QuantizedEpitome {
-  /// qmatrix[row][col]: *signed* codes (re-centred for two's-complement
-  /// cell programming), row = (e_ci*p + py)*q + qx, col = epitome cout.
-  std::vector<std::vector<int>> qmatrix;
   /// Per crossbar block, in row-major block order.
   std::vector<QuantParams> block_params;
   std::int64_t blocks_r = 0, blocks_c = 0;
   /// Epitome with dequantized weights (same spec as the source).
   Tensor dequant_weights;
-  double plain_mse = 0.0;
-  double weighted_mse = 0.0;  ///< repetition-weighted (effective) MSE
+};
+
+/// Running error sums over every element of every epitome quantized into
+/// it, added in element order. d = w - dequant(w), rep = repetition count.
+struct QuantNoise {
+  double wse = 0.0;        ///< sum of rep * d^2
+  double rep_total = 0.0;  ///< sum of rep
+  double se = 0.0;         ///< sum of d^2
+  double power = 0.0;      ///< sum of w^2
+  std::int64_t count = 0;  ///< elements summed
+
+  /// Repetition-weighted (effective) MSE; 0 when nothing was summed.
+  double weighted_mse() const {
+    return rep_total > 0 ? wse / rep_total : 0.0;
+  }
+  double plain_mse() const {
+    return count > 0 ? se / static_cast<double>(count) : 0.0;
+  }
+  /// Mean squared weight; 1 when nothing was summed.
+  double weight_power() const {
+    return count > 0 ? power / static_cast<double>(count) : 1.0;
+  }
 };
 
 class EpitomeQuantizer {
@@ -65,7 +82,8 @@ class EpitomeQuantizer {
 
   const QuantConfig& config() const { return config_; }
 
-  QuantizedEpitome quantize(const Epitome& epitome) const;
+  /// Quantize one epitome and add its error terms to `noise`.
+  QuantizedEpitome quantize(const Epitome& epitome, QuantNoise& noise) const;
 
  private:
   QuantConfig config_;

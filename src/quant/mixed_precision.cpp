@@ -23,27 +23,20 @@ MixedPrecisionResult hawq_lite_allocate(const NetworkAssignment& assignment,
   for (std::int64_t i = 0; i < n; ++i) {
     const ConvLayerInfo& layer = assignment.layers()[static_cast<std::size_t>(i)];
     const auto& choice = assignment.choice(i);
-    // Probe epitome: the actual assignment's epitome, or the degenerate one
-    // when the layer keeps its convolution.
-    Epitome probe =
-        choice.has_value()
-            ? Epitome::random(*choice, layer.conv, rng)
-            : Epitome::random(
-                  EpitomeSpec{layer.conv.kernel_h, layer.conv.kernel_w,
-                              layer.conv.in_channels, layer.conv.out_channels,
-                              1, false},
-                  layer.conv, rng);
+    const Epitome probe = assignment.random_epitome(i, rng);
     QuantConfig lo_cfg = config.quant;
     lo_cfg.bits = config.low_bits;
     QuantConfig hi_cfg = config.quant;
     hi_cfg.bits = config.high_bits;
-    const double mse_lo = EpitomeQuantizer(lo_cfg).quantize(probe).weighted_mse;
-    const double mse_hi = EpitomeQuantizer(hi_cfg).quantize(probe).weighted_mse;
+    QuantNoise lo, hi;
+    EpitomeQuantizer(lo_cfg).quantize(probe, lo);
+    EpitomeQuantizer(hi_cfg).quantize(probe, hi);
 
     LayerSensitivity s;
     s.layer = i;
     // Curvature proxy x perturbation gap (see header).
-    s.score = static_cast<double>(layer.macs()) * std::max(0.0, mse_lo - mse_hi);
+    s.score = static_cast<double>(layer.macs()) *
+              std::max(0.0, lo.weighted_mse() - hi.weighted_mse());
     const std::int64_t rows =
         choice.has_value() ? choice->rows() : layer.conv.unrolled_rows();
     const std::int64_t cols =

@@ -39,11 +39,6 @@ double QuantParams::dequantize(std::int64_t code) const {
   return scale * static_cast<double>(code + zero_point);
 }
 
-int QuantParams::signed_code(std::int64_t code) const {
-  EPIM_CHECK(code >= 0 && code <= max_code(), "code out of range");
-  return static_cast<int>(code - (std::int64_t{1} << (bits - 1)));
-}
-
 Tensor fake_quantize_tensor(const Tensor& t, const QuantParams& params) {
   Tensor out(t.shape());
   for (std::int64_t i = 0; i < t.numel(); ++i) {

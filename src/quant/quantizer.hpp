@@ -2,8 +2,7 @@
 //
 //   Q(r) = Int(r / S) - Z,   S = (beta - alpha) / (2^k - 1)
 //
-// Quantized codes are unsigned k-bit integers in [0, 2^k - 1]; the crossbar
-// programming path re-centres them to signed two's-complement. Degenerate
+// Quantized codes are unsigned k-bit integers in [0, 2^k - 1]. Degenerate
 // ranges (alpha == beta) quantize everything to a single code.
 #pragma once
 
@@ -32,10 +31,6 @@ struct QuantParams {
 
   /// Round-trip a real value through the quantizer.
   double fake_quantize(double r) const { return dequantize(quantize(r)); }
-
-  /// Signed two's-complement representation used on crossbar cells:
-  /// code - 2^(bits-1), in [-2^(bits-1), 2^(bits-1) - 1].
-  int signed_code(std::int64_t code) const;
 };
 
 /// Fake-quantize a whole tensor with one shared parameter set.

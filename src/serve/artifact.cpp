@@ -8,6 +8,8 @@
 #include <fstream>
 #include <initializer_list>
 #include <optional>
+#include <random>
+#include <sstream>
 #include <tuple>
 #include <type_traits>
 #include <utility>
@@ -458,12 +460,20 @@ void write_container(const std::string& path, artifact::Kind kind,
   // Atomic save: stream into a same-directory temp file, then rename over
   // the destination. A crash (or an armed artifact.write fault) mid-save
   // can therefore never leave a truncated container at `path` -- readers
-  // see either the complete old artifact or the complete new one. The
-  // counter keeps concurrent saves to the same path from clobbering each
-  // other's temp file; last rename wins, each rename is whole.
+  // see either the complete old artifact or the complete new one. The temp
+  // name carries a random token drawn once per process plus a per-process
+  // counter, so concurrent saves to the same path -- from this process or
+  // another -- never share a temp file; last rename wins, each whole.
+  static const std::string process_token = [] {
+    std::random_device rd;
+    const std::uint64_t token = (std::uint64_t{rd()} << 32) | rd();
+    std::ostringstream hex;
+    hex << std::hex << token;
+    return hex.str();
+  }();
   static std::atomic<std::uint64_t> save_counter{0};
   const std::string tmp =
-      path + ".tmp." +
+      path + ".tmp." + process_token + "." +
       std::to_string(save_counter.fetch_add(1, std::memory_order_relaxed));
   try {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);

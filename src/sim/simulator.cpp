@@ -17,24 +17,14 @@ bool is_fp32(const PrecisionConfig& precision) {
 
 }  // namespace
 
-EpimSimulator::NoiseMeasurement EpimSimulator::measure_noise(
-    const NetworkAssignment& assignment, const PrecisionConfig& precision,
-    const QuantConfig& scheme, std::uint64_t seed) const {
+QuantNoise EpimSimulator::measure_noise(const NetworkAssignment& assignment,
+                                       const PrecisionConfig& precision,
+                                       const QuantConfig& scheme,
+                                       std::uint64_t seed) const {
   Rng rng(seed);
-  double wse = 0.0, rep_total = 0.0, se = 0.0, power = 0.0;
-  std::int64_t count = 0;
+  QuantNoise noise;
   for (std::int64_t i = 0; i < assignment.num_layers(); ++i) {
-    const ConvLayerInfo& layer =
-        assignment.layers()[static_cast<std::size_t>(i)];
-    const auto& choice = assignment.choice(i);
-    Epitome probe =
-        choice.has_value()
-            ? Epitome::random(*choice, layer.conv, rng)
-            : Epitome::random(
-                  EpitomeSpec{layer.conv.kernel_h, layer.conv.kernel_w,
-                              layer.conv.in_channels,
-                              layer.conv.out_channels, 1, false},
-                  layer.conv, rng);
+    Epitome probe = assignment.random_epitome(i, rng);
     // Trained CNN weights are heavy-tailed (leptokurtic), and the tails are
     // what separates the range schemes: a single outlier inflates a naive
     // min/max range for the whole tensor, while per-crossbar and
@@ -46,26 +36,9 @@ EpimSimulator::NoiseMeasurement EpimSimulator::measure_noise(
     QuantConfig cfg = scheme;
     cfg.bits = precision.layer_weight_bits(i);
     if (cfg.bits == 32) continue;  // layer kept at full precision
-    EpitomeQuantizer quantizer(cfg);
-    const QuantizedEpitome q = quantizer.quantize(probe);
-    const Tensor rep = probe.repetition_map();
-    const Tensor& w = probe.weights();
-    for (std::int64_t e = 0; e < w.numel(); ++e) {
-      const double d = static_cast<double>(w.at(e)) - q.dequant_weights.at(e);
-      wse += static_cast<double>(rep.at(e)) * d * d;
-      rep_total += rep.at(e);
-      se += d * d;
-      power += static_cast<double>(w.at(e)) * w.at(e);
-      ++count;
-    }
+    EpitomeQuantizer(cfg).quantize(probe, noise);
   }
-  NoiseMeasurement m;
-  if (count > 0) {
-    m.weighted_mse = rep_total > 0 ? wse / rep_total : 0.0;
-    m.plain_mse = se / static_cast<double>(count);
-    m.weight_power = power / static_cast<double>(count);
-  }
-  return m;
+  return noise;
 }
 
 EpimSimulator::Evaluation EpimSimulator::evaluate(
@@ -80,12 +53,11 @@ EpimSimulator::Evaluation EpimSimulator::evaluate(
                                   : projector.anchors().epitome_fp32;
     return eval;
   }
-  const NoiseMeasurement m = measure_noise(assignment, precision, scheme,
-                                           seed);
-  eval.weighted_mse = m.weighted_mse;
-  eval.weight_power = m.weight_power;
+  const QuantNoise noise = measure_noise(assignment, precision, scheme, seed);
+  eval.weighted_mse = noise.weighted_mse();
+  eval.weight_power = noise.weight_power();
   eval.projected_accuracy =
-      projector.project_quantized(m.weighted_mse, m.weight_power);
+      projector.project_quantized(eval.weighted_mse, eval.weight_power);
   return eval;
 }
 

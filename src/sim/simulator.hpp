@@ -45,17 +45,13 @@ class EpimSimulator {
                       const AccuracyProjector& projector,
                       std::uint64_t seed = 0x51D'E57u) const;
 
-  /// Measure only the aggregate quantization noise of an assignment (used by
-  /// the Table 2 bench to compare range schemes).
-  struct NoiseMeasurement {
-    double weighted_mse = 0.0;
-    double plain_mse = 0.0;
-    double weight_power = 1.0;
-  };
-  NoiseMeasurement measure_noise(const NetworkAssignment& assignment,
-                                 const PrecisionConfig& precision,
-                                 const QuantConfig& scheme,
-                                 std::uint64_t seed = 0x51D'E57u) const;
+  /// Measure only the aggregate quantization noise of an assignment: one
+  /// running QuantNoise over every quantized layer's probe, in layer and
+  /// element order. evaluate() projects accuracy from it.
+  QuantNoise measure_noise(const NetworkAssignment& assignment,
+                           const PrecisionConfig& precision,
+                           const QuantConfig& scheme,
+                           std::uint64_t seed = 0x51D'E57u) const;
 
  private:
   PimEstimator estimator_;

@@ -102,45 +102,26 @@ std::int64_t SmallEpitomeNet::weight_parameters() const {
   return n;
 }
 
-SmallEpitomeNet::QuantizationImpact SmallEpitomeNet::quantize_weights(
-    const QuantConfig& config) {
+QuantNoise SmallEpitomeNet::quantize_weights(const QuantConfig& config) {
   // First (conv1) and last (dense) layers stay at full precision -- standard
   // practice mirrored from HAWQ; the compressed middle blocks are quantized.
   EpitomeQuantizer quantizer(config);
-  QuantizationImpact impact;
-  double wse = 0.0, rep_total = 0.0, power = 0.0;
-  std::int64_t count = 0;
-  auto apply = [&](Epitome& epitome, auto&& commit) {
-    const QuantizedEpitome q = quantizer.quantize(epitome);
-    const Tensor rep = epitome.repetition_map();
-    const Tensor& w = epitome.weights();
-    for (std::int64_t i = 0; i < w.numel(); ++i) {
-      const double d = static_cast<double>(w.at(i)) - q.dequant_weights.at(i);
-      wse += static_cast<double>(rep.at(i)) * d * d;
-      rep_total += rep.at(i);
-      power += static_cast<double>(w.at(i)) * w.at(i);
-      ++count;
-    }
-    commit(q.dequant_weights);
-  };
+  QuantNoise noise;
   if (epi2_) {
-    apply(epi2_->epitome(),
-          [&](const Tensor& t) { epi2_->restore_weights(t); });
-    apply(epi3_->epitome(),
-          [&](const Tensor& t) { epi3_->restore_weights(t); });
+    for (EpitomeConvLayer* layer : {epi2_.get(), epi3_.get()}) {
+      layer->restore_weights(
+          quantizer.quantize(layer->epitome(), noise).dequant_weights);
+    }
   } else {
     for (Conv2dLayer* layer : {conv2_.get(), conv3_.get()}) {
-      Epitome degenerate =
-          Epitome::from_conv_weights(layer->spec(), layer->weight().value);
-      apply(degenerate, [&](const Tensor& t) {
-        layer->weight().value = t.reshaped(layer->weight().value.shape());
-      });
+      Tensor& value = layer->weight().value;
+      const Epitome degenerate =
+          Epitome::from_conv_weights(layer->spec(), value);
+      value = quantizer.quantize(degenerate, noise)
+                  .dequant_weights.reshaped(value.shape());
     }
   }
-  impact.weighted_mse = rep_total > 0 ? wse / rep_total : 0.0;
-  impact.weight_power =
-      count > 0 ? power / static_cast<double>(count) : 1.0;
-  return impact;
+  return noise;
 }
 
 SmallEpitomeNet::Deploy SmallEpitomeNet::deploy() const {

@@ -52,12 +52,8 @@ class SmallEpitomeNet {
   std::int64_t weight_parameters() const;
 
   /// Fake-quantize every epitome/conv weight tensor in place with the given
-  /// scheme; returns the aggregate repetition-weighted MSE and weight power.
-  struct QuantizationImpact {
-    double weighted_mse = 0.0;
-    double weight_power = 0.0;
-  };
-  QuantizationImpact quantize_weights(const QuantConfig& config);
+  /// scheme; returns the error summed over all of them.
+  QuantNoise quantize_weights(const QuantConfig& config);
 
   /// Snapshot/restore all trainable weights (for quantize -> eval -> undo).
   std::vector<Tensor> snapshot_weights() const;

@@ -98,11 +98,11 @@ QuantEvalResult evaluate_quantized(SmallEpitomeNet& model,
                                    const Dataset& dataset,
                                    const QuantConfig& config) {
   const std::vector<Tensor> snapshot = model.snapshot_weights();
-  const auto impact = model.quantize_weights(config);
+  const QuantNoise noise = model.quantize_weights(config);
   QuantEvalResult result;
   result.accuracy = evaluate_model(model, dataset);
-  result.weighted_mse = impact.weighted_mse;
-  result.weight_power = impact.weight_power;
+  result.weighted_mse = noise.weighted_mse();
+  result.weight_power = noise.weight_power();
   model.restore_weights(snapshot);
   return result;
 }

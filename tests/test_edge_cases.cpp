@@ -2,6 +2,8 @@
 // boundary precisions, invalid configurations, and pathological inputs.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "common/rng.hpp"
 #include "core/designer.hpp"
 #include "datapath/datapath_sim.hpp"
@@ -98,13 +100,15 @@ TEST(EdgeCases, QuantizerAtOneBit) {
   Epitome e = Epitome::random(EpitomeSpec{4, 4, 4, 4}, conv, rng);
   QuantConfig cfg;
   cfg.bits = 1;
-  const QuantizedEpitome q = EpitomeQuantizer(cfg).quantize(e);
-  for (const auto& row : q.qmatrix) {
-    for (const int v : row) {
-      EXPECT_GE(v, -1);
-      EXPECT_LE(v, 0);
-    }
-  }
+  QuantNoise noise;
+  const QuantizedEpitome q = EpitomeQuantizer(cfg).quantize(e, noise);
+  // 64 x 4 logical matrix: one crossbar block, one 1-bit range, so at most
+  // two distinct dequantized values.
+  ASSERT_EQ(q.block_params.size(), 1u);
+  const std::set<float> levels(
+      q.dequant_weights.data(),
+      q.dequant_weights.data() + q.dequant_weights.numel());
+  EXPECT_LE(levels.size(), 2u);
 }
 
 TEST(EdgeCases, EstimatorRejectsBadBits) {
@@ -127,8 +131,9 @@ TEST(EdgeCases, AllZeroEpitomeQuantizesToZero) {
   Epitome e(EpitomeSpec{4, 4, 4, 4}, conv);  // zero weights
   QuantConfig cfg;
   cfg.bits = 3;
-  const QuantizedEpitome q = EpitomeQuantizer(cfg).quantize(e);
-  EXPECT_DOUBLE_EQ(q.plain_mse, 0.0);
+  QuantNoise noise;
+  const QuantizedEpitome q = EpitomeQuantizer(cfg).quantize(e, noise);
+  EXPECT_DOUBLE_EQ(noise.plain_mse(), 0.0);
   for (std::int64_t i = 0; i < q.dequant_weights.numel(); ++i) {
     EXPECT_EQ(q.dequant_weights.at(i), 0.0f);
   }
@@ -140,8 +145,9 @@ TEST(EdgeCases, ConstantWeightsRoundTripExactly) {
   e.weights().fill(0.5f);
   QuantConfig cfg;
   cfg.bits = 3;
-  const QuantizedEpitome q = EpitomeQuantizer(cfg).quantize(e);
-  EXPECT_NEAR(q.plain_mse, 0.0, 1e-12);
+  QuantNoise noise;
+  EpitomeQuantizer(cfg).quantize(e, noise);
+  EXPECT_NEAR(noise.plain_mse(), 0.0, 1e-12);
 }
 
 TEST(EdgeCases, HugeOutlierDoesNotBreakOverlapScheme) {
@@ -152,7 +158,8 @@ TEST(EdgeCases, HugeOutlierDoesNotBreakOverlapScheme) {
   QuantConfig cfg;
   cfg.bits = 3;
   cfg.scheme = RangeScheme::kOverlapWeighted;
-  EXPECT_NO_THROW(EpitomeQuantizer(cfg).quantize(e));
+  QuantNoise noise;
+  EXPECT_NO_THROW(EpitomeQuantizer(cfg).quantize(e, noise));
 }
 
 // ---- datapath under extreme geometry ----

@@ -110,10 +110,10 @@ TEST(Integration, SchemeLadderOnSimulatedResNet) {
   QuantConfig overlap;
   overlap.scheme = RangeScheme::kOverlapWeighted;
   const double m_naive =
-      sim.measure_noise(uni, precision, naive).weighted_mse;
-  const double m_xbar = sim.measure_noise(uni, precision, xbar).weighted_mse;
+      sim.measure_noise(uni, precision, naive).weighted_mse();
+  const double m_xbar = sim.measure_noise(uni, precision, xbar).weighted_mse();
   const double m_overlap =
-      sim.measure_noise(uni, precision, overlap).weighted_mse;
+      sim.measure_noise(uni, precision, overlap).weighted_mse();
   EXPECT_LE(m_xbar, m_naive * 1.0001);
   EXPECT_LE(m_overlap, m_xbar * 1.0001);
 }

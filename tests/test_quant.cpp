@@ -3,6 +3,9 @@
 // precision, and the accuracy projector.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "common/rng.hpp"
 #include "nn/resnet.hpp"
 #include "quant/accuracy_model.hpp"
@@ -42,16 +45,6 @@ TEST(QuantParams, RejectsInvertedRange) {
   EXPECT_THROW(QuantParams::from_range(0.0, 1.0, 0), InvalidArgument);
 }
 
-TEST(QuantParams, SignedCodesFitTwosComplement) {
-  const QuantParams p = QuantParams::from_range(-1.0, 1.0, 3);
-  for (std::int64_t code = 0; code <= p.max_code(); ++code) {
-    const int s = p.signed_code(code);
-    EXPECT_GE(s, -4);
-    EXPECT_LE(s, 3);
-  }
-  EXPECT_THROW(p.signed_code(8), InvalidArgument);
-}
-
 TEST(QuantParams, MoreBitsLessError) {
   Rng rng(1);
   Tensor t({1000});
@@ -80,15 +73,27 @@ TEST(EpitomeQuant, OutputShapesAndCodes) {
   Epitome e = overlapping_epitome(rng);
   QuantConfig cfg;
   cfg.bits = 3;
-  const QuantizedEpitome q = EpitomeQuantizer(cfg).quantize(e);
-  EXPECT_EQ(static_cast<std::int64_t>(q.qmatrix.size()), e.spec().rows());
-  EXPECT_EQ(static_cast<std::int64_t>(q.qmatrix.front().size()),
-            e.spec().cout_e);
+  cfg.xbar_rows = 64;
+  cfg.xbar_cols = 8;
+  QuantNoise noise;
+  const QuantizedEpitome q = EpitomeQuantizer(cfg).quantize(e, noise);
   EXPECT_EQ(q.dequant_weights.shape(), e.weights().shape());
-  for (const auto& row : q.qmatrix) {
-    for (const int v : row) {
-      EXPECT_GE(v, -4);
-      EXPECT_LE(v, 3);
+  EXPECT_EQ(noise.count, e.weights().numel());
+  // 200 x 16 logical matrix in 64 x 8 blocks; each block has one 3-bit
+  // range, so it holds at most 2^3 distinct dequantized values.
+  const std::int64_t rows = e.spec().rows(), cols = e.spec().cout_e;
+  ASSERT_EQ(q.blocks_r, 4);
+  ASSERT_EQ(q.blocks_c, 2);
+  for (std::int64_t br = 0; br < q.blocks_r; ++br) {
+    for (std::int64_t bc = 0; bc < q.blocks_c; ++bc) {
+      std::set<float> levels;
+      for (std::int64_t c = bc * 8; c < std::min(cols, (bc + 1) * 8); ++c) {
+        for (std::int64_t r = br * 64; r < std::min(rows, (br + 1) * 64);
+             ++r) {
+          levels.insert(q.dequant_weights.at(c * rows + r));
+        }
+      }
+      EXPECT_LE(levels.size(), 8u) << "block " << br << "," << bc;
     }
   }
 }
@@ -99,7 +104,8 @@ TEST(EpitomeQuant, BlockCountMatchesGeometry) {
   Epitome e = Epitome::random(EpitomeSpec{4, 4, 64, 256}, conv, rng);
   QuantConfig cfg;
   cfg.scheme = RangeScheme::kPerCrossbar;
-  const QuantizedEpitome q = EpitomeQuantizer(cfg).quantize(e);
+  QuantNoise noise;
+  const QuantizedEpitome q = EpitomeQuantizer(cfg).quantize(e, noise);
   EXPECT_EQ(q.blocks_r, 8);   // 1024 / 128
   EXPECT_EQ(q.blocks_c, 2);   // 256 / 128
   EXPECT_EQ(q.block_params.size(), 16u);
@@ -124,7 +130,9 @@ TEST(EpitomeQuant, SchemeLadderReducesWeightedError) {
     QuantConfig cfg;
     cfg.bits = 3;
     cfg.scheme = scheme;
-    return EpitomeQuantizer(cfg).quantize(e).weighted_mse;
+    QuantNoise noise;
+    EpitomeQuantizer(cfg).quantize(e, noise);
+    return noise.weighted_mse();
   };
   const double naive = weighted_err(RangeScheme::kMinMax);
   const double per_xbar = weighted_err(RangeScheme::kPerCrossbar);
@@ -144,9 +152,10 @@ TEST(EpitomeQuant, OverlapFallsBackWhenRepetitionUniform) {
   a.scheme = RangeScheme::kPerCrossbar;
   QuantConfig b = a;
   b.scheme = RangeScheme::kOverlapWeighted;
-  const double ea = EpitomeQuantizer(a).quantize(e).weighted_mse;
-  const double eb = EpitomeQuantizer(b).quantize(e).weighted_mse;
-  EXPECT_NEAR(ea, eb, 1e-12);
+  QuantNoise ea, eb;
+  EpitomeQuantizer(a).quantize(e, ea);
+  EpitomeQuantizer(b).quantize(e, eb);
+  EXPECT_NEAR(ea.weighted_mse(), eb.weighted_mse(), 1e-12);
 }
 
 TEST(EpitomeQuant, WeightedMseUsesRepetition) {
@@ -159,8 +168,41 @@ TEST(EpitomeQuant, WeightedMseUsesRepetition) {
   Epitome e = Epitome::from_conv_weights(conv, std::move(w));
   QuantConfig cfg;
   cfg.bits = 4;
-  const QuantizedEpitome q = EpitomeQuantizer(cfg).quantize(e);
-  EXPECT_NEAR(q.plain_mse, q.weighted_mse, 1e-12);
+  QuantNoise noise;
+  EpitomeQuantizer(cfg).quantize(e, noise);
+  EXPECT_NEAR(noise.plain_mse(), noise.weighted_mse(), 1e-12);
+}
+
+TEST(EpitomeQuant, NoisePinnedPerScheme) {
+  // Exact repetition-weighted and plain MSE of one 3-bit quantization per
+  // range scheme, on a seeded overlapping epitome split into 4x2 crossbar
+  // blocks. Any change to the block walk or the error sums' element order
+  // moves these bits.
+  struct Pin {
+    RangeScheme scheme;
+    double weighted_mse, plain_mse;
+  };
+  const Pin pins[] = {
+      {RangeScheme::kMinMax, 0.00061864903085532955, 0.00062617865607849678},
+      {RangeScheme::kPerCrossbar, 0.00045078846154825863,
+       0.0004539948991514654},
+      {RangeScheme::kOverlapWeighted, 0.00037374728097614991,
+       0.00038055531838689213},
+  };
+  for (const Pin& p : pins) {
+    Rng rng(11);
+    const Epitome e = overlapping_epitome(rng);
+    QuantConfig cfg;
+    cfg.bits = 3;
+    cfg.scheme = p.scheme;
+    cfg.xbar_rows = 64;  // 200 rows -> 4 row blocks
+    cfg.xbar_cols = 8;   // 16 cols -> 2 column blocks
+    QuantNoise noise;
+    EpitomeQuantizer(cfg).quantize(e, noise);
+    EXPECT_EQ(noise.weighted_mse(), p.weighted_mse)
+        << range_scheme_name(p.scheme);
+    EXPECT_EQ(noise.plain_mse(), p.plain_mse) << range_scheme_name(p.scheme);
+  }
 }
 
 struct SchemeBitsCase {
@@ -176,16 +218,12 @@ TEST_P(QuantBitsSweep, DequantCloseAtHighBitsCoarseAtLow) {
   QuantConfig cfg;
   cfg.bits = GetParam().bits;
   cfg.scheme = GetParam().scheme;
-  const QuantizedEpitome q = EpitomeQuantizer(cfg).quantize(e);
-  EXPECT_GT(q.plain_mse, 0.0);
+  QuantNoise noise;
+  EpitomeQuantizer(cfg).quantize(e, noise);
+  EXPECT_GT(noise.plain_mse(), 0.0);
   // 9-bit quantization must be very accurate relative to weight power.
   if (GetParam().bits >= 9) {
-    double power = 0.0;
-    for (std::int64_t i = 0; i < e.weights().numel(); ++i) {
-      power += static_cast<double>(e.weights().at(i)) * e.weights().at(i);
-    }
-    power /= static_cast<double>(e.weights().numel());
-    EXPECT_LT(q.plain_mse / power, 5e-4);
+    EXPECT_LT(noise.plain_mse() / noise.weight_power(), 5e-4);
   }
 }
 

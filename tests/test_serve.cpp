@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <future>
 #include <string>
@@ -494,6 +495,31 @@ TEST(ArtifactErrors, LoadersRejectDirectoriesWithPinnedMessage) {
   }
   // probe() guards the same way (the registry probes at registration).
   EXPECT_THROW(artifact::probe(dir), InvalidArgument);
+}
+
+// Another process saving the same path stages its bytes in a temp file
+// beside it. A save must never open that file: plant every temp name a
+// per-process counter alone would pick and check the save leaves them be.
+TEST(ArtifactSave, TempFileNamesDoNotCollideAcrossProcesses) {
+  const std::filesystem::path dir = temp_path("artifact_tmp_collision");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "shared.epim").string();
+  constexpr int kPlanted = 16;
+  for (int n = 0; n < kPlanted; ++n) {
+    std::ofstream(path + ".tmp." + std::to_string(n)) << "in flight";
+  }
+  for (int i = 0; i < 2; ++i) {
+    Pipeline{PipelineConfig{}}.compile(mini_resnet()).save(path);
+  }
+  EXPECT_NO_THROW((void)Pipeline::load(path));
+  for (int n = 0; n < kPlanted; ++n) {
+    std::ifstream in(path + ".tmp." + std::to_string(n));
+    std::string text;
+    std::getline(in, text);
+    EXPECT_EQ(text, "in flight") << "temp file " << n << " was reused";
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // ---- on-disk bytes (section payloads pinned) ----

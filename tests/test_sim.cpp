@@ -48,9 +48,9 @@ TEST(Simulator, NoiseMeasurementDeterministicUnderSeed) {
   const auto precision = PrecisionConfig::uniform(3, 9);
   const auto a = sim.measure_noise(uni, precision, scheme, 7);
   const auto b = sim.measure_noise(uni, precision, scheme, 7);
-  EXPECT_DOUBLE_EQ(a.weighted_mse, b.weighted_mse);
+  EXPECT_DOUBLE_EQ(a.weighted_mse(), b.weighted_mse());
   const auto c = sim.measure_noise(uni, precision, scheme, 8);
-  EXPECT_NE(a.weighted_mse, c.weighted_mse);
+  EXPECT_NE(a.weighted_mse(), c.weighted_mse());
 }
 
 TEST(Simulator, FullPrecisionLayersSkipped) {
@@ -61,7 +61,10 @@ TEST(Simulator, FullPrecisionLayersSkipped) {
   PrecisionConfig p;
   p.weight_bits.assign(static_cast<std::size_t>(uni.num_layers()), 32);
   const auto m = sim.measure_noise(uni, p, QuantConfig{});
-  EXPECT_DOUBLE_EQ(m.weighted_mse, 0.0);
+  EXPECT_EQ(m.count, 0);
+  EXPECT_DOUBLE_EQ(m.weighted_mse(), 0.0);
+  EXPECT_DOUBLE_EQ(m.plain_mse(), 0.0);
+  EXPECT_DOUBLE_EQ(m.weight_power(), 1.0);
 }
 
 TEST(Simulator, SchemeLadderHoldsOnVgg) {
@@ -77,7 +80,7 @@ TEST(Simulator, SchemeLadderHoldsOnVgg) {
   overlap.scheme = RangeScheme::kOverlapWeighted;
   const auto a = sim.measure_noise(uni, precision, naive);
   const auto b = sim.measure_noise(uni, precision, overlap);
-  EXPECT_LE(b.weighted_mse, a.weighted_mse * 1.0001);
+  EXPECT_LE(b.weighted_mse(), a.weighted_mse() * 1.0001);
 }
 
 TEST(Simulator, MoreBitsLessProjectedLoss) {

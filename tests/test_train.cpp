@@ -273,6 +273,29 @@ TEST(SmallNet, SnapshotRestoreRoundTrip) {
   }
 }
 
+TEST(SmallNet, QuantizeWeightsNoisePinned) {
+  // Exact aggregate noise of the default-seeded net's 3-bit quantization,
+  // for the epitome blocks and for the plain-conv (degenerate epitome) path.
+  struct Pin {
+    bool use_epitome;
+    double weighted_mse, weight_power;
+  };
+  const Pin pins[] = {
+      {true, 0.00059653446166848915, 0.0083963077030853282},
+      {false, 0.00075145642327194252, 0.008405769215375317},
+  };
+  for (const Pin& p : pins) {
+    SmallNetConfig cfg;
+    cfg.use_epitome = p.use_epitome;
+    SmallEpitomeNet net(cfg);
+    QuantConfig q;
+    q.bits = 3;
+    const auto noise = net.quantize_weights(q);
+    EXPECT_EQ(noise.weighted_mse(), p.weighted_mse) << p.use_epitome;
+    EXPECT_EQ(noise.weight_power(), p.weight_power) << p.use_epitome;
+  }
+}
+
 TEST(Training, LossDecreases) {
   SyntheticSpec dspec;
   dspec.num_classes = 4;
