@@ -1,7 +1,7 @@
 #include "pim/crossbar.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <array>
 #include <functional>
 
 #include "common/check.hpp"
@@ -84,7 +84,7 @@ CrossbarArray::CrossbarArray(const CrossbarConfig& config, int weight_bits,
               level + rng.normal(0.0, non_ideal.conductance_sigma), 0.0,
               level_max);
         }
-        cells_[static_cast<std::size_t>((s * rows_ + r) * cols_ + c)] = level;
+        cells_[static_cast<std::size_t>((r * slices_ + s) * cols_ + c)] = level;
         stored >>= radix_bits;
       }
     }
@@ -96,73 +96,246 @@ namespace {
 /// Per-thread scratch for mvm(): the kernel is called once per tile per
 /// round per output position, so these buffers must not be reallocated per
 /// call. Thread-local keeps the thread-safe overload allocation-free and
-/// race-free; every element is overwritten before use, so results stay
-/// deterministic.
+/// race-free; every element read is written first in the same call, so
+/// results stay deterministic.
 thread_local std::vector<std::int32_t> t_active;
 thread_local std::vector<double> t_current_analog;
 thread_local std::vector<std::int32_t> t_lit;
 
-/// cur[c] = the sum of plane[r * cols + c] over the rows r in `lit`
-/// (ascending), added in ascending row order. Internal linkage so the
-/// bit-serial loop inlines it; column_currents() exposes it to tests.
-void sum_lit_rows(const double* plane, std::int64_t cols,
-                  std::span<const std::int32_t> lit, double* cur) {
-  std::fill(cur, cur + cols, 0.0);
-  // Two rows per pass over the columns: (cur + a) + b rounds exactly as two
-  // one-row passes do, so the sums stay bit-identical.
-  std::size_t k = 0;
-  for (; k + 1 < lit.size(); k += 2) {
-    const double* a = plane + static_cast<std::int64_t>(lit[k]) * cols;
-    const double* b = plane + static_cast<std::int64_t>(lit[k + 1]) * cols;
-    for (std::int64_t c = 0; c < cols; ++c) cur[c] = cur[c] + a[c] + b[c];
+/// kLanes doubles added lane by lane (IEEE adds, as in scalar code), read
+/// and written at any double's alignment, as the intrinsics' __m256d_u.
+template <int kLanes>
+struct DoubleLanes {
+  typedef double type __attribute__((vector_size(kLanes * sizeof(double)),
+                                     aligned(sizeof(double)), may_alias));
+};
+template <>
+struct DoubleLanes<1> {
+  using type = double;
+};
+
+/// Vector accumulators per column block: eight independent add chains
+/// cover the add latency at two adds per cycle.
+constexpr int kBlockRegs = 8;
+
+/// For each cycle t: cur[t * stride + c] = the sum of plane[r * stride + c]
+/// over the rows r in lits[t] (ascending), added in ascending row order,
+/// for c in [0, width). The columns go kLanes * kRegs at a time through
+/// kRegs vectors of running sums held in registers: independent add chains
+/// and no load or store of cur per row. All cycles sum one column block
+/// before the next block starts, so the block's rows are read from memory
+/// once and from L1 afterwards. The tail takes half as many registers,
+/// then narrower vectors, down to one column. Only the column grouping
+/// changes, never a column's order of additions, so every sum is
+/// bit-identical to a one-row-at-a-time pass. Inlined into both copies of
+/// the bit-serial loop; column_currents() exposes it to tests.
+template <int kLanes, int kRegs>
+[[gnu::always_inline]] inline void sum_lit_rows(
+    const double* plane, std::int64_t stride, std::int64_t width,
+    std::span<const std::span<const std::int32_t>> lits, double* cur) {
+  using Lanes = typename DoubleLanes<kLanes>::type;
+  constexpr std::int64_t kBlock = kLanes * kRegs;
+  std::int64_t c0 = 0;
+  for (; c0 + kBlock <= width; c0 += kBlock) {
+    for (std::size_t t = 0; t < lits.size(); ++t) {
+      Lanes sum[kRegs] = {};
+      for (const std::int32_t r : lits[t]) {
+        const Lanes* row = reinterpret_cast<const Lanes*>(
+            plane + static_cast<std::int64_t>(r) * stride + c0);
+#pragma GCC unroll 16
+        for (int k = 0; k < kRegs; ++k) sum[k] += row[k];
+      }
+      Lanes* out = reinterpret_cast<Lanes*>(
+          cur + static_cast<std::int64_t>(t) * stride + c0);
+#pragma GCC unroll 16
+      for (int k = 0; k < kRegs; ++k) out[k] = sum[k];
+    }
   }
-  if (k < lit.size()) {
-    const double* a = plane + static_cast<std::int64_t>(lit[k]) * cols;
-    for (std::int64_t c = 0; c < cols; ++c) cur[c] += a[c];
+  if constexpr (kRegs > 1) {
+    sum_lit_rows<kLanes, kRegs / 2>(plane + c0, stride, width - c0, lits,
+                                    cur + c0);
+  } else if constexpr (kLanes > 1) {
+    sum_lit_rows<kLanes / 2, 1>(plane + c0, stride, width - c0, lits,
+                                cur + c0);
   }
 }
 
+/// Largest ADC resolution whose codes convert through int32: the current
+/// is clamped to 2^adc_bits before conversion, and 2^30 < 2^31. Wider ADCs
+/// convert through int64 (which AVX2 cannot do in vector registers).
+constexpr int kMaxInt32AdcBits = 30;
+
+/// The ADC on one column current, without branches. Clamping to
+/// [0, adc_max + 1] first changes no result (every current above
+/// adc_max + 0.5 clips either way, every negative one reads 0) and keeps the
+/// conversion to Code in range. x - trunc(x) is exact for any double, so
+/// adding the half-way test to trunc(x) rounds half away from zero exactly
+/// as std::llround does.
+template <typename Code>
+[[gnu::always_inline]] inline Code adc_step(double current, Code adc_max,
+                                            std::int64_t& clips) {
+  const double x =
+      std::clamp(current, 0.0, static_cast<double>(adc_max) + 1.0);
+  Code code = static_cast<Code>(x);
+  code += static_cast<Code>(x - static_cast<double>(code) >= 0.5);
+  clips += code > adc_max;  // saturating ADC
+  return std::min(code, adc_max);
+}
+
+/// What the bit-serial loop reads of an array.
+struct AnalogTile {
+  const double* cells;  ///< cells_[(r * slices + s) * cols + c]
+  std::int64_t cols, slices;
+  int radix_bits, adc_bits;
+};
+
+/// The bit-serial loop. Cycle t drives input bit t on every enabled word
+/// line; each slice's column current is digitized and shift-added. Word
+/// lines whose input bit is zero draw no current, so each cycle sums only
+/// the lit rows, every slice of a row in one pass (a row's slices sit side
+/// by side). Compiled twice, for the baseline ISA and for AVX2.
+template <int kLanes, typename Code>
+[[gnu::always_inline]] inline void analog_loop(
+    const AnalogTile& a, const std::uint32_t* input,
+    std::span<const std::int32_t> active, int act_bits, std::int64_t* acc,
+    std::int64_t& clips) {
+  // Locals, not loads through `a`: the stores to acc could alias `a`.
+  const std::int64_t cols = a.cols, slices = a.slices, width = slices * cols;
+  const int radix_bits = a.radix_bits;
+  const Code adc_max = static_cast<Code>((std::int64_t{1} << a.adc_bits) - 1);
+  std::vector<double>& current = t_current_analog;
+  std::vector<std::int32_t>& lit = t_lit;
+  current.resize(static_cast<std::size_t>(act_bits * width));
+  lit.resize(static_cast<std::size_t>(act_bits) * active.size());
+  // The word lines driving a one in each cycle t, listed without branches.
+  std::array<std::span<const std::int32_t>, 32> lits;
+  for (int t = 0; t < act_bits; ++t) {
+    std::int32_t* list = lit.data() + t * active.size();
+    std::size_t n = 0;
+    for (const std::int32_t r : active) {
+      list[n] = r;
+      n += (input[static_cast<std::size_t>(r)] >> t) & 1u;
+    }
+    lits[static_cast<std::size_t>(t)] = {list, n};
+  }
+  sum_lit_rows<kLanes, kBlockRegs>(a.cells, width, width,
+                          std::span(lits).first(static_cast<std::size_t>(
+                              act_bits)),
+                          current.data());
+  std::int64_t clipped = 0;
+  for (int t = 0; t < act_bits; ++t) {
+    for (std::int64_t s = 0; s < slices; ++s) {
+      const double* cur = current.data() + t * width + s * cols;
+      const int shift = t + static_cast<int>(s) * radix_bits;
+      for (std::int64_t c = 0; c < cols; ++c) {
+        acc[c] += static_cast<std::int64_t>(adc_step(cur[c], adc_max, clipped))
+                  << shift;
+      }
+    }
+  }
+  clips += clipped;
+}
+
+template <int kLanes>
+[[gnu::always_inline]] inline void analog_body(
+    const AnalogTile& a, const std::uint32_t* input,
+    std::span<const std::int32_t> active, int act_bits, std::int64_t* acc,
+    std::int64_t& clips) {
+  if (a.adc_bits <= kMaxInt32AdcBits) {
+    analog_loop<kLanes, std::int32_t>(a, input, active, act_bits, acc, clips);
+  } else {
+    analog_loop<kLanes, std::int64_t>(a, input, active, act_bits, acc, clips);
+  }
+}
+
+// The two compiled copies of the loop and of its summation. Both add in
+// ascending row order with no contraction (the build is ISO C++,
+// -ffp-contract=off), so the baseline copy is the golden reference for the
+// AVX2 one, whose vectors are twice as wide.
+constexpr int kGenericLanes = 2;  // SSE2 on x86-64
+constexpr int kAvx2Lanes = 4;
+
+void analog_generic(const AnalogTile& a, const std::uint32_t* input,
+                    std::span<const std::int32_t> active, int act_bits,
+                    std::int64_t* acc, std::int64_t& clips) {
+  analog_body<kGenericLanes>(a, input, active, act_bits, acc, clips);
+}
+
+void currents_generic(const double* plane, std::int64_t stride,
+                      std::int64_t width, std::span<const std::int32_t> lit,
+                      double* cur) {
+  sum_lit_rows<kGenericLanes, kBlockRegs>(plane, stride, width, {&lit, 1}, cur);
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+#define EPIM_CROSSBAR_AVX2 1
+[[gnu::target("avx2")]] void analog_avx2(
+    const AnalogTile& a, const std::uint32_t* input,
+    std::span<const std::int32_t> active, int act_bits, std::int64_t* acc,
+    std::int64_t& clips) {
+  analog_body<kAvx2Lanes>(a, input, active, act_bits, acc, clips);
+}
+
+[[gnu::target("avx2")]] void currents_avx2(
+    const double* plane, std::int64_t stride, std::int64_t width,
+    std::span<const std::int32_t> lit, double* cur) {
+  sum_lit_rows<kAvx2Lanes, kBlockRegs>(plane, stride, width, {&lit, 1}, cur);
+}
+#endif
+
 }  // namespace
 
+CrossbarArray::Isa CrossbarArray::host_isa() {
+#ifdef EPIM_CROSSBAR_AVX2
+  static const Isa isa = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") ? Isa::kAvx2 : Isa::kGeneric;
+  }();
+  return isa;
+#else
+  return Isa::kGeneric;
+#endif
+}
+
+std::int64_t CrossbarArray::adc_code(double current, int adc_bits,
+                                     std::int64_t& clips) {
+  const std::int64_t adc_max = (std::int64_t{1} << adc_bits) - 1;
+  if (adc_bits <= kMaxInt32AdcBits) {
+    return adc_step(current, static_cast<std::int32_t>(adc_max), clips);
+  }
+  return adc_step(current, adc_max, clips);
+}
+
 void CrossbarArray::column_currents(std::span<const std::int32_t> lit,
-                                    std::int64_t slice, double* cur) const {
-  sum_lit_rows(cells_.data() + slice * rows_ * cols_, cols_, lit, cur);
+                                    std::int64_t slice, double* cur,
+                                    Isa isa) const {
+  EPIM_DCHECK(isa == Isa::kGeneric || isa == host_isa(),
+              "the AVX2 loop needs an AVX2 host");
+  const double* plane = cells_.data() + slice * cols_;
+#ifdef EPIM_CROSSBAR_AVX2
+  if (isa == Isa::kAvx2) {
+    currents_avx2(plane, slices_ * cols_, cols_, lit, cur);
+    return;
+  }
+#endif
+  currents_generic(plane, slices_ * cols_, cols_, lit, cur);
 }
 
 void CrossbarArray::mvm_analog(std::span<const std::uint32_t> input,
                                std::span<const std::int32_t> active,
                                int act_bits, std::int64_t* acc,
-                               std::int64_t& clips) const {
-  const std::int64_t adc_max = (std::int64_t{1} << config_.adc_bits) - 1;
-  const int radix_bits = config_.cell_bits;
-  // Bit-serial input streaming: cycle t drives input bit t on every enabled
-  // word line; each slice's column current is digitized and shift-added.
-  // (Word lines whose input bit is zero draw no current and are skipped.)
-  std::vector<double>& current = t_current_analog;
-  std::vector<std::int32_t>& lit = t_lit;
-  current.resize(static_cast<std::size_t>(cols_));
-  for (int t = 0; t < act_bits; ++t) {
-    // The word lines driving a one in cycle t, shared by every slice.
-    lit.clear();
-    for (const std::int32_t r : active) {
-      if ((input[static_cast<std::size_t>(r)] >> t) & 1u) lit.push_back(r);
-    }
-    for (std::int64_t s = 0; s < slices_; ++s) {
-      sum_lit_rows(cells_.data() + s * rows_ * cols_, cols_, lit,
-                   current.data());
-      for (std::int64_t c = 0; c < cols_; ++c) {
-        // The ADC digitizes the analog column current to an integer code.
-        std::int64_t code = static_cast<std::int64_t>(
-            std::llround(current[static_cast<std::size_t>(c)]));
-        if (code > adc_max) {  // saturating ADC
-          code = adc_max;
-          ++clips;
-        }
-        if (code < 0) code = 0;
-        acc[c] += code << (t + static_cast<int>(s) * radix_bits);
-      }
-    }
+                               std::int64_t& clips, Isa isa) const {
+  EPIM_DCHECK(isa == Isa::kGeneric || isa == host_isa(),
+              "the AVX2 loop needs an AVX2 host");
+  const AnalogTile tile{cells_.data(), cols_, slices_, config_.cell_bits,
+                        config_.adc_bits};
+#ifdef EPIM_CROSSBAR_AVX2
+  if (isa == Isa::kAvx2) {
+    analog_avx2(tile, input.data(), active, act_bits, acc, clips);
+    return;
   }
+#endif
+  analog_generic(tile, input.data(), active, act_bits, acc, clips);
 }
 
 void CrossbarArray::mvm(std::span<const std::uint32_t> input,
@@ -227,7 +400,7 @@ void CrossbarArray::mvm(std::span<const std::uint32_t> input,
   }
 
   std::int64_t clips = 0;
-  mvm_analog(input, active, act_bits, out, clips);
+  mvm_analog(input, active, act_bits, out, clips, host_isa());
   // Remove the offset-binary bias: stored = w + offset, so the analog result
   // overcounts by offset * sum(enabled inputs).
   std::int64_t input_sum = 0;

@@ -10,21 +10,32 @@
 // verifies -- and with a starved ADC it degrades, which the ablation bench
 // sweeps.
 //
-// Storage is one contiguous buffer (slice-major, row-major planes) walked
-// with pointer arithmetic. The kernel takes its row gating as a span of
-// active word lines (ascending) next to a span of inputs indexed by row, so
-// a caller that knows its IFRT pattern ahead of time (PimLayerEngine builds
-// it once per layer) never materializes a mask; the vector<bool> overloads
-// build that list and call the same kernel. Each array keeps only the weight
-// copy its regime reads, chosen once at construction:
+// Storage is one contiguous buffer walked with pointer arithmetic. The
+// kernel takes its row gating as a span of active word lines (ascending)
+// next to a span of inputs indexed by row, so a caller that knows its IFRT
+// pattern ahead of time (PimLayerEngine builds it once per layer) never
+// materializes a mask; the vector<bool> overloads build that list and call
+// the same kernel. Each array keeps only the weight copy its regime reads,
+// chosen once at construction:
 //  * ideal arrays whose ADC cannot clip for any input keep the signed
 //    weights and collapse the whole bit-serial schedule into one int64 dot
 //    product per column (the direct path);
-//  * every other array keeps its cell levels and runs the one bit-serial
-//    loop, which digitizes each (input bit, slice) column current through
-//    the saturating ADC. Ideal levels are small integers, exact in double,
-//    so an ideal array that can clip gets exact sums and exact clip counts.
+//  * every other array keeps its cell levels, each word line's slices side
+//    by side, and runs the one bit-serial loop, which digitizes each
+//    (input bit, slice) column current through the saturating ADC. Ideal
+//    levels are small integers, exact in double, so an ideal array that can
+//    clip gets exact sums and exact clip counts.
 // The direct path is bit-identical to the bit-serial loop on ideal arrays.
+//
+// The bit-serial loop sums the rows lit in each cycle in ascending row
+// order, a block of columns at a time in vector registers, and rounds each
+// current inline and without branches (clamp to adc_max + 1, truncate, add
+// one if the fraction is at least one half: exactly std::llround). It is
+// compiled twice from one body, for the baseline ISA and for AVX2; mvm()
+// takes the AVX2 copy when the CPU has it, checked once. Both copies add
+// in the same order with no contraction, so the baseline copy is the
+// golden reference for the other and the results do not depend on the
+// host.
 #pragma once
 
 #include <cstdint>
@@ -100,17 +111,32 @@ class CrossbarArray {
            std::int64_t* out, std::int64_t* clip_count) const;
 
  private:
-  friend class CrossbarTestPeer;  // pins column_currents' summation order
+  // Pins the ADC step, the summation order and both compiled loop copies.
+  friend class CrossbarTestPeer;
 
-  /// The bit-serial loop (every array off the direct path).
+  /// The instruction sets the bit-serial loop is compiled for.
+  enum class Isa { kGeneric, kAvx2 };
+  /// The copy mvm() runs: kAvx2 when the CPU supports AVX2, decided once.
+  static Isa host_isa();
+
+  /// The bit-serial loop (every array off the direct path), in the copy
+  /// compiled for `isa`, which must be kGeneric or host_isa(). Both copies
+  /// add in the same order, so they are bit-identical.
   void mvm_analog(std::span<const std::uint32_t> input,
                   std::span<const std::int32_t> active, int act_bits,
-                  std::int64_t* acc, std::int64_t& clips) const;
-  /// Pre-ADC column currents of one slice, summed exactly as the bit-serial
-  /// loop sums them: cur[c] = the levels of column c on the word lines in
-  /// `lit` (ascending), added in ascending row order. Test seam only.
+                  std::int64_t* acc, std::int64_t& clips, Isa isa) const;
+  /// One ADC conversion exactly as the loop performs it: the current
+  /// rounded half away from zero (std::llround), saturated at
+  /// 2^adc_bits - 1 with a clip added to `clips`, floored at zero. Test
+  /// seam only.
+  static std::int64_t adc_code(double current, int adc_bits,
+                               std::int64_t& clips);
+  /// Pre-ADC column currents of one slice, summed exactly as the copy of
+  /// the bit-serial loop compiled for `isa` sums them: cur[c] = the levels
+  /// of column c on the word lines in `lit` (ascending), added in ascending
+  /// row order. Test seam only.
   void column_currents(std::span<const std::int32_t> lit, std::int64_t slice,
-                       double* cur) const;
+                       double* cur, Isa isa) const;
 
   CrossbarConfig config_;
   std::int64_t rows_ = 0;
@@ -122,7 +148,8 @@ class CrossbarArray {
   /// and keeps only signed_weights_; every other array keeps only cells_.
   bool direct_ = false;
   /// Bit-serial arrays only: programmed conductances in level units, one
-  /// contiguous buffer: cells_[(s * rows_ + r) * cols_ + c]. Exactly the
+  /// contiguous buffer holding each word line's slices side by side:
+  /// cells_[(r * slices_ + s) * cols_ + c]. Exactly the
   /// digit of (w + offset) for an ideal array; perturbed by the
   /// non-ideality model otherwise.
   std::vector<double> cells_;

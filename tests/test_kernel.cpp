@@ -13,6 +13,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <ostream>
 #include <span>
 #include <vector>
@@ -22,14 +23,46 @@
 
 namespace epim {
 
-/// Test-only access to the bit-serial loop's per-(bit, slice) current
-/// accumulation.
+/// Test-only access to the bit-serial loop: its per-(bit, slice) current
+/// accumulation, its ADC step and each of its compiled copies.
 class CrossbarTestPeer {
  public:
   static void column_currents(const CrossbarArray& array,
                               std::span<const std::int32_t> lit,
-                              std::int64_t slice, double* cur) {
-    array.column_currents(lit, slice, cur);
+                              std::int64_t slice, double* cur,
+                              bool avx2 = false) {
+    array.column_currents(lit, slice, cur,
+                          avx2 ? CrossbarArray::Isa::kAvx2
+                               : CrossbarArray::Isa::kGeneric);
+  }
+
+  static std::int64_t adc_code(double current, int adc_bits,
+                               std::int64_t& clips) {
+    return CrossbarArray::adc_code(current, adc_bits, clips);
+  }
+
+  static bool host_has_avx2() {
+    return CrossbarArray::host_isa() == CrossbarArray::Isa::kAvx2;
+  }
+
+  static bool direct(const CrossbarArray& array) { return array.direct_; }
+
+  /// What mvm() returns, with the bit-serial loop run in the baseline copy
+  /// or in the AVX2 one; clips accumulate into `clips`.
+  static std::vector<std::int64_t> loop_mvm(
+      const CrossbarArray& array, const std::vector<std::uint32_t>& input,
+      std::span<const std::int32_t> active, int act_bits, bool avx2,
+      std::int64_t& clips) {
+    std::vector<std::int64_t> acc(static_cast<std::size_t>(array.cols_), 0);
+    array.mvm_analog(input, active, act_bits, acc.data(), clips,
+                     avx2 ? CrossbarArray::Isa::kAvx2
+                          : CrossbarArray::Isa::kGeneric);
+    std::int64_t input_sum = 0;
+    for (const std::int32_t r : active) {
+      input_sum += input[static_cast<std::size_t>(r)];
+    }
+    for (std::int64_t& v : acc) v -= array.offset_ * input_sum;
+    return acc;
   }
 };
 
@@ -266,22 +299,23 @@ NonIdealityConfig sigma_only() {
   return ni;
 }
 
+const std::vector<GoldenCase> kGoldenCases = {
+    // Ideal + wide ADC: exercises the direct int64 fast path.
+    GoldenCase{"ideal_wide", 128, 16, 9, 9, 12, {}, 0.8},
+    GoldenCase{"ideal_wide_full", 64, 32, 6, 8, 12, {}, 1.0},
+    GoldenCase{"ideal_wide_sparse", 37, 5, 5, 7, 12, {}, 0.3},
+    // Ideal + starved ADC: bit-serial loop on exact levels, saturating.
+    GoldenCase{"ideal_clip", 64, 8, 8, 8, 3, {}, 1.0},
+    GoldenCase{"ideal_clip_partial", 96, 12, 7, 6, 4, {}, 0.6},
+    // Non-ideal: bit-serial loop on perturbed levels, same RNG order.
+    GoldenCase{"noisy", 64, 8, 6, 6, 12, noisy(), 0.8},
+    GoldenCase{"noisy_starved", 48, 6, 8, 8, 4, noisy(), 1.0},
+    GoldenCase{"sigma", 128, 16, 9, 9, 12, sigma_only(), 0.7},
+    // Degenerate geometry.
+    GoldenCase{"one_cell", 1, 1, 2, 1, 12, {}, 1.0}};
+
 INSTANTIATE_TEST_SUITE_P(
-    Regimes, KernelGolden,
-    ::testing::Values(
-        // Ideal + wide ADC: exercises the direct int64 fast path.
-        GoldenCase{"ideal_wide", 128, 16, 9, 9, 12, {}, 0.8},
-        GoldenCase{"ideal_wide_full", 64, 32, 6, 8, 12, {}, 1.0},
-        GoldenCase{"ideal_wide_sparse", 37, 5, 5, 7, 12, {}, 0.3},
-        // Ideal + starved ADC: bit-serial loop on exact levels, saturating.
-        GoldenCase{"ideal_clip", 64, 8, 8, 8, 3, {}, 1.0},
-        GoldenCase{"ideal_clip_partial", 96, 12, 7, 6, 4, {}, 0.6},
-        // Non-ideal: bit-serial loop on perturbed levels, same RNG order.
-        GoldenCase{"noisy", 64, 8, 6, 6, 12, noisy(), 0.8},
-        GoldenCase{"noisy_starved", 48, 6, 8, 8, 4, noisy(), 1.0},
-        GoldenCase{"sigma", 128, 16, 9, 9, 12, sigma_only(), 0.7},
-        // Degenerate geometry.
-        GoldenCase{"one_cell", 1, 1, 2, 1, 12, {}, 1.0}),
+    Regimes, KernelGolden, ::testing::ValuesIn(kGoldenCases),
     [](const ::testing::TestParamInfo<GoldenCase>& info) {
       return info.param.name;
     });
@@ -366,6 +400,225 @@ TEST(KernelAnalogOrder, ColumnCurrentsSumLitRowsInAscendingOrder) {
     }
   }
 }
+
+TEST(KernelAdc, InlineRoundingMatchesLlround) {
+  // The bit-serial loop's ADC rounds without calling std::llround. It must
+  // give the code and the clip of the llround-then-saturate ADC it
+  // replaced for every current: half-way points and their neighbouring
+  // ulps, exact integers up to 2^52, currents far past the ADC's range
+  // (where it clamps before converting), and ADCs wide enough that the
+  // conversion must go through int64.
+  const auto llround_adc = [](double current, int adc_bits,
+                              std::int64_t& clips) {
+    const std::int64_t adc_max = (std::int64_t{1} << adc_bits) - 1;
+    std::int64_t code = std::llround(current);
+    if (code > adc_max) {
+      code = adc_max;
+      ++clips;
+    }
+    return std::max<std::int64_t>(code, 0);
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> currents = {0.0, -0.0, 0.49999999999999994, 0.5,
+                                  -0.3, -0.5, -0.7, -1e9};
+  const auto add_around = [&](double x) {
+    for (const double v : {x, std::nextafter(x, -inf), std::nextafter(x, inf)}) {
+      currents.push_back(v);
+    }
+  };
+  for (const double k :
+       {1.0, 2.0, 3.0, 7.0, 100.0, 511.0, 512.0, 4095.0, 4096.0, 0x1p20,
+        0x1p31 - 1.0, 0x1p31, 0x1p32 - 1.0, 0x1p32, 0x1p40, 0x1p51}) {
+    add_around(k);
+    add_around(k - 0.5);
+    add_around(k + 0.5);
+  }
+  for (const double k : {0x1p52 - 1.0, 0x1p52, 0x1p53, 0x1p62}) add_around(k);
+  Rng rng(0xADCu);
+  for (int i = 0; i < 2000; ++i) {
+    currents.push_back(rng.uniform(0.0, 10000.0));
+    currents.push_back(static_cast<double>(rng.engine()() >> 12));  // < 2^52
+  }
+  for (const int adc_bits : {9, 12, 31, 32}) {
+    const double adc_max =
+        static_cast<double>((std::int64_t{1} << adc_bits) - 1);
+    for (const double over : {adc_max + 0.5, adc_max + 1.0, adc_max + 1.5,
+                              adc_max * 2.0, adc_max * 1e6}) {
+      add_around(over);
+    }
+    std::int64_t clips_seen = 0;
+    for (const double x : currents) {
+      std::int64_t want_clips = 0, got_clips = 0;
+      const std::int64_t want = llround_adc(x, adc_bits, want_clips);
+      const std::int64_t got =
+          CrossbarTestPeer::adc_code(x, adc_bits, got_clips);
+      EXPECT_EQ(got, want) << "current " << x << " adc_bits " << adc_bits;
+      EXPECT_EQ(got_clips, want_clips)
+          << "current " << x << " adc_bits " << adc_bits;
+      clips_seen += got_clips;
+    }
+    EXPECT_GT(clips_seen, 0) << "adc_bits " << adc_bits;
+  }
+}
+
+/// The KernelGolden cases plus geometries and settings that reach the
+/// loop's other paths: column tails of every block size, an ADC that
+/// clips, stuck-at faults alone, one and 32 input bits, and ADCs too wide
+/// for an int32 code.
+std::vector<GoldenCase> isa_cases() {
+  NonIdealityConfig stuck;
+  stuck.stuck_at_zero_prob = 0.05;
+  stuck.stuck_at_max_prob = 0.05;
+  std::vector<GoldenCase> cases = kGoldenCases;
+  for (const GoldenCase& c : {
+           GoldenCase{"cols1", 40, 1, 8, 8, 12, sigma_only(), 0.8},
+           GoldenCase{"cols3", 40, 3, 8, 8, 12, sigma_only(), 0.8},
+           GoldenCase{"cols5", 72, 5, 6, 8, 12, sigma_only(), 0.8},
+           GoldenCase{"cols25", 100, 25, 9, 8, 12, sigma_only(), 0.7},
+           GoldenCase{"starved", 72, 16, 6, 8, 3, sigma_only(), 1.0},
+           GoldenCase{"stuck_at", 64, 12, 8, 8, 12, stuck, 0.8},
+           GoldenCase{"act1", 64, 16, 6, 1, 12, sigma_only(), 0.8},
+           GoldenCase{"act32", 64, 16, 6, 32, 12, noisy(), 0.8},
+           GoldenCase{"adc31", 64, 16, 9, 8, 31, sigma_only(), 0.8},
+           GoldenCase{"adc32", 64, 16, 9, 32, 32, noisy(), 0.8}}) {
+    cases.push_back(c);
+  }
+  return cases;
+}
+
+/// A case's array, built to run the bit-serial loop: a case the direct path
+/// would take gets a vanishing sigma, which keeps its geometry and every
+/// rounded current.
+NonIdealityConfig loop_non_ideal(const GoldenCase& p, const CrossbarConfig& cfg,
+                                 const std::vector<std::vector<int>>& w) {
+  NonIdealityConfig ni = p.non_ideal;
+  if (CrossbarTestPeer::direct(CrossbarArray(cfg, p.weight_bits, w, ni))) {
+    ni.conductance_sigma = 1e-9;
+  }
+  return ni;
+}
+
+class KernelIsa : public ::testing::TestWithParam<GoldenCase> {
+ protected:
+  /// Runs `body(array, seed, x, en, active)` on the case's array for 8
+  /// random inputs and row masks.
+  template <typename Body>
+  void for_each_trial(Body body) {
+    const GoldenCase& p = GetParam();
+    Rng rng(0x15Au);
+    CrossbarConfig cfg;
+    cfg.adc_bits = p.adc_bits;
+    const int lo = -(1 << (p.weight_bits - 1));
+    const int hi = (1 << (p.weight_bits - 1)) - 1;
+    std::vector<std::vector<int>> w(
+        static_cast<std::size_t>(p.rows),
+        std::vector<int>(static_cast<std::size_t>(p.cols)));
+    for (auto& row : w) {
+      for (auto& v : row) v = rng.uniform_int(lo, hi);
+    }
+    const NonIdealityConfig ni = loop_non_ideal(p, cfg, w);
+    const CrossbarArray array(cfg, p.weight_bits, w, ni);
+    const SeedCrossbar seed(cfg, p.weight_bits, w, ni);
+    const std::uint32_t mask =
+        p.act_bits >= 32 ? 0xFFFF'FFFFu : (1u << p.act_bits) - 1u;
+    for (int trial = 0; trial < 8; ++trial) {
+      std::vector<std::uint32_t> x(static_cast<std::size_t>(p.rows));
+      std::vector<bool> en(static_cast<std::size_t>(p.rows));
+      std::vector<std::int32_t> active;
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        x[i] = static_cast<std::uint32_t>(rng.engine()()) & mask;
+        en[i] = rng.flip(p.enable_prob);
+        if (en[i]) active.push_back(static_cast<std::int32_t>(i));
+      }
+      body(array, seed, x, en, active);
+    }
+  }
+};
+
+TEST_P(KernelIsa, BaselineCopyMatchesSeedImplementation) {
+  const GoldenCase& p = GetParam();
+  std::int64_t total_clips = 0;
+  for_each_trial([&](const CrossbarArray& array, const SeedCrossbar& seed,
+                     const std::vector<std::uint32_t>& x,
+                     const std::vector<bool>& en,
+                     const std::vector<std::int32_t>& active) {
+    std::int64_t clips = 0;
+    const auto got = CrossbarTestPeer::loop_mvm(array, x, active, p.act_bits,
+                                                /*avx2=*/false, clips);
+    EXPECT_EQ(got, seed.mvm(x, en, p.act_bits)) << p.name;
+    EXPECT_EQ(clips, seed.last_clip_count()) << p.name;
+    total_clips += clips;
+  });
+  // Every case with an ADC this narrow has enough rows to saturate it.
+  if (p.adc_bits <= 4) EXPECT_GT(total_clips, 0) << p.name;
+}
+
+TEST_P(KernelIsa, Avx2CopyBitIdenticalToBaselineCopy) {
+  if (!CrossbarTestPeer::host_has_avx2()) {
+    GTEST_SKIP() << "this CPU has no AVX2";
+  }
+  const GoldenCase& p = GetParam();
+  for_each_trial([&](const CrossbarArray& array, const SeedCrossbar&,
+                     const std::vector<std::uint32_t>& x,
+                     const std::vector<bool>&,
+                     const std::vector<std::int32_t>& active) {
+    std::int64_t clips_baseline = 0, clips_avx2 = 0;
+    const auto baseline = CrossbarTestPeer::loop_mvm(
+        array, x, active, p.act_bits, /*avx2=*/false, clips_baseline);
+    const auto avx2 = CrossbarTestPeer::loop_mvm(array, x, active, p.act_bits,
+                                                 /*avx2=*/true, clips_avx2);
+    EXPECT_EQ(avx2, baseline) << p.name;
+    EXPECT_EQ(clips_avx2, clips_baseline) << p.name;
+  });
+}
+
+TEST(KernelIsaOrder, Avx2ColumnCurrentsBitIdenticalToBaseline) {
+  // The AVX2 copy's pre-ADC currents, which the rounding downstream would
+  // mostly hide, must match the baseline copy's bit for bit: same lit
+  // rows, same ascending order, wider vectors. Column counts 1..25 reach
+  // every tail of the register block.
+  if (!CrossbarTestPeer::host_has_avx2()) {
+    GTEST_SKIP() << "this CPU has no AVX2";
+  }
+  Rng rng(0xA5A2u);
+  for (const std::int64_t cols : {1, 3, 5, 7, 16, 25}) {
+    CrossbarConfig cfg;
+    const std::int64_t rows = 72;
+    const int weight_bits = 9;
+    std::vector<std::vector<int>> w(
+        static_cast<std::size_t>(rows),
+        std::vector<int>(static_cast<std::size_t>(cols)));
+    for (auto& row : w) {
+      for (auto& v : row) v = rng.uniform_int(-256, 255);
+    }
+    const CrossbarArray kernel(cfg, weight_bits, w, noisy());
+    for (int trial = 0; trial < 8; ++trial) {
+      std::vector<std::int32_t> lit;
+      for (std::int64_t r = 0; r < rows; ++r) {
+        if (rng.flip(trial / 7.0)) lit.push_back(static_cast<std::int32_t>(r));
+      }
+      for (std::int64_t s = 0; s < cfg.weight_slices(weight_bits); ++s) {
+        std::vector<double> baseline(static_cast<std::size_t>(cols), -1.0);
+        std::vector<double> avx2(static_cast<std::size_t>(cols), -2.0);
+        CrossbarTestPeer::column_currents(kernel, lit, s, baseline.data());
+        CrossbarTestPeer::column_currents(kernel, lit, s, avx2.data(),
+                                          /*avx2=*/true);
+        for (std::size_t c = 0; c < baseline.size(); ++c) {
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(avx2[c]),
+                    std::bit_cast<std::uint64_t>(baseline[c]))
+              << "cols " << cols << " trial " << trial << " slice " << s
+              << " col " << c;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, KernelIsa, ::testing::ValuesIn(isa_cases()),
+    [](const ::testing::TestParamInfo<GoldenCase>& info) {
+      return info.param.name;
+    });
 
 }  // namespace
 }  // namespace epim
