@@ -1,7 +1,6 @@
 #include "pim/crossbar.hpp"
 
 #include <algorithm>
-#include <array>
 #include <functional>
 
 #include "common/check.hpp"
@@ -118,44 +117,39 @@ struct DoubleLanes<1> {
 /// cover the add latency at two adds per cycle.
 constexpr int kBlockRegs = 8;
 
-/// For each cycle t: cur[t * stride + c] = the sum of plane[r * stride + c]
-/// over the rows r in lits[t] (ascending), added in ascending row order,
-/// for c in [0, width). The columns go kLanes * kRegs at a time through
-/// kRegs vectors of running sums held in registers: independent add chains
-/// and no load or store of cur per row. All cycles sum one column block
-/// before the next block starts, so the block's rows are read from memory
-/// once and from L1 afterwards. The tail takes half as many registers,
-/// then narrower vectors, down to one column. Only the column grouping
-/// changes, never a column's order of additions, so every sum is
-/// bit-identical to a one-row-at-a-time pass. Inlined into both copies of
-/// the bit-serial loop; column_currents() exposes it to tests.
+/// cur[c] = the sum of plane[r * stride + c] over the rows r in `lit`
+/// (ascending), added in ascending row order, for c in [0, width). The
+/// columns go kLanes * kRegs at a time through kRegs vectors of running
+/// sums held in registers: independent add chains, and no load or store of
+/// cur per row. The tail takes half as many registers, then narrower
+/// vectors, down to one column. Only the column grouping changes, never a
+/// column's order of additions, so every sum is bit-identical to a
+/// one-row-at-a-time pass. Inlined into both copies of the bit-serial
+/// loop; column_currents() exposes each copy to tests.
 template <int kLanes, int kRegs>
 [[gnu::always_inline]] inline void sum_lit_rows(
     const double* plane, std::int64_t stride, std::int64_t width,
-    std::span<const std::span<const std::int32_t>> lits, double* cur) {
+    std::span<const std::int32_t> lit, double* cur) {
   using Lanes = typename DoubleLanes<kLanes>::type;
   constexpr std::int64_t kBlock = kLanes * kRegs;
   std::int64_t c0 = 0;
   for (; c0 + kBlock <= width; c0 += kBlock) {
-    for (std::size_t t = 0; t < lits.size(); ++t) {
-      Lanes sum[kRegs] = {};
-      for (const std::int32_t r : lits[t]) {
-        const Lanes* row = reinterpret_cast<const Lanes*>(
-            plane + static_cast<std::int64_t>(r) * stride + c0);
+    Lanes sum[kRegs] = {};
+    for (const std::int32_t r : lit) {
+      const Lanes* row = reinterpret_cast<const Lanes*>(
+          plane + static_cast<std::int64_t>(r) * stride + c0);
 #pragma GCC unroll 16
-        for (int k = 0; k < kRegs; ++k) sum[k] += row[k];
-      }
-      Lanes* out = reinterpret_cast<Lanes*>(
-          cur + static_cast<std::int64_t>(t) * stride + c0);
-#pragma GCC unroll 16
-      for (int k = 0; k < kRegs; ++k) out[k] = sum[k];
+      for (int k = 0; k < kRegs; ++k) sum[k] += row[k];
     }
+    Lanes* out = reinterpret_cast<Lanes*>(cur + c0);
+#pragma GCC unroll 16
+    for (int k = 0; k < kRegs; ++k) out[k] = sum[k];
   }
   if constexpr (kRegs > 1) {
-    sum_lit_rows<kLanes, kRegs / 2>(plane + c0, stride, width - c0, lits,
+    sum_lit_rows<kLanes, kRegs / 2>(plane + c0, stride, width - c0, lit,
                                     cur + c0);
   } else if constexpr (kLanes > 1) {
-    sum_lit_rows<kLanes / 2, 1>(plane + c0, stride, width - c0, lits,
+    sum_lit_rows<kLanes / 2, 1>(plane + c0, stride, width - c0, lit,
                                 cur + c0);
   }
 }
@@ -205,27 +199,20 @@ template <int kLanes, typename Code>
   const Code adc_max = static_cast<Code>((std::int64_t{1} << a.adc_bits) - 1);
   std::vector<double>& current = t_current_analog;
   std::vector<std::int32_t>& lit = t_lit;
-  current.resize(static_cast<std::size_t>(act_bits * width));
-  lit.resize(static_cast<std::size_t>(act_bits) * active.size());
-  // The word lines driving a one in each cycle t, listed without branches.
-  std::array<std::span<const std::int32_t>, 32> lits;
-  for (int t = 0; t < act_bits; ++t) {
-    std::int32_t* list = lit.data() + t * active.size();
-    std::size_t n = 0;
-    for (const std::int32_t r : active) {
-      list[n] = r;
-      n += (input[static_cast<std::size_t>(r)] >> t) & 1u;
-    }
-    lits[static_cast<std::size_t>(t)] = {list, n};
-  }
-  sum_lit_rows<kLanes, kBlockRegs>(a.cells, width, width,
-                          std::span(lits).first(static_cast<std::size_t>(
-                              act_bits)),
-                          current.data());
+  current.resize(static_cast<std::size_t>(width));
+  lit.resize(active.size());
   std::int64_t clipped = 0;
   for (int t = 0; t < act_bits; ++t) {
+    // The word lines driving a one in cycle t, listed without branches.
+    std::size_t n = 0;
+    for (const std::int32_t r : active) {
+      lit[n] = r;
+      n += (input[static_cast<std::size_t>(r)] >> t) & 1u;
+    }
+    sum_lit_rows<kLanes, kBlockRegs>(a.cells, width, width, {lit.data(), n},
+                                     current.data());
     for (std::int64_t s = 0; s < slices; ++s) {
-      const double* cur = current.data() + t * width + s * cols;
+      const double* cur = current.data() + s * cols;
       const int shift = t + static_cast<int>(s) * radix_bits;
       for (std::int64_t c = 0; c < cols; ++c) {
         acc[c] += static_cast<std::int64_t>(adc_step(cur[c], adc_max, clipped))
@@ -264,7 +251,7 @@ void analog_generic(const AnalogTile& a, const std::uint32_t* input,
 void currents_generic(const double* plane, std::int64_t stride,
                       std::int64_t width, std::span<const std::int32_t> lit,
                       double* cur) {
-  sum_lit_rows<kGenericLanes, kBlockRegs>(plane, stride, width, {&lit, 1}, cur);
+  sum_lit_rows<kGenericLanes, kBlockRegs>(plane, stride, width, lit, cur);
 }
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -279,7 +266,7 @@ void currents_generic(const double* plane, std::int64_t stride,
 [[gnu::target("avx2")]] void currents_avx2(
     const double* plane, std::int64_t stride, std::int64_t width,
     std::span<const std::int32_t> lit, double* cur) {
-  sum_lit_rows<kAvx2Lanes, kBlockRegs>(plane, stride, width, {&lit, 1}, cur);
+  sum_lit_rows<kAvx2Lanes, kBlockRegs>(plane, stride, width, lit, cur);
 }
 #endif
 
