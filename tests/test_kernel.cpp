@@ -6,7 +6,9 @@
 // bit-serial loop on perturbed levels), including partial row_enable masks
 // and the clip diagnostics. The span overload (active-row list instead of
 // a mask) is pinned the same way, and so is the bit-serial loop's pre-ADC
-// summation order, which the end-to-end outputs cannot see.
+// summation order, which the end-to-end outputs cannot see. The loop's
+// inline ADC is pinned against std::llround, and its AVX2 copy against
+// the baseline copy (currents, outputs and clips).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -422,7 +424,8 @@ TEST(KernelAdc, InlineRoundingMatchesLlround) {
   std::vector<double> currents = {0.0, -0.0, 0.49999999999999994, 0.5,
                                   -0.3, -0.5, -0.7, -1e9};
   const auto add_around = [&](double x) {
-    for (const double v : {x, std::nextafter(x, -inf), std::nextafter(x, inf)}) {
+    for (const double v :
+         {x, std::nextafter(x, -inf), std::nextafter(x, inf)}) {
       currents.push_back(v);
     }
   };
